@@ -5,8 +5,10 @@
 /// These three contractions are the computational heart of the matrix-free
 /// spectral-element method (§5.1): every element operator (stiffness, mass,
 /// gradient, interpolation) is a chain of them. They are written as tight
-/// loops over contiguous data; `fast3d` specializations are chosen by the
-/// kernel autotuner in device/.
+/// scalar loops over contiguous data and are the bitwise reference: the
+/// `simd`, `blockK` and `fixedN` variants in tensor_simd.hpp reproduce them
+/// bit for bit, and operators/tensor_dispatch picks among those variants
+/// per polynomial order.
 #pragma once
 
 #include "common/error.hpp"
@@ -115,6 +117,10 @@ inline void grad_ref(const Op1D& d, const real_t* u, real_t* ur, real_t* us,
   apply_axis1(d, u, us, n, n);
   apply_axis2(d, u, ut, n, n);
 }
+
+/// Nodes per direction of the 3/2-rule dealias (Gauss) grid for n GLL
+/// nodes, ⌈3n/2⌉: the m of interp3 in the dealiased advection.
+constexpr int dealias_nodes(int n) { return (3 * n + 1) / 2; }
 
 /// Interpolate an n³ element array to m³ via the op (m×n) applied on all
 /// axes; `work` must hold ≥ m·n·(m+n) reals.

@@ -12,6 +12,10 @@
 /// (serial vs OpenMP at any thread count, tuned vs untuned, restart
 /// exactness). This is why the autotuner may pick different winners per
 /// (backend, threads) key without perturbing a single bit of the solution.
+/// The same sequence also forbids fusing `t += a * b` into one FMA rounding:
+/// felis compiles for the host's vector ISA with `-ffp-contract=off`
+/// (src/CMakeLists.txt), so every lane performs the reference's separately
+/// rounded multiply and add.
 ///
 /// Variant families per kernel:
 ///  * `ref`      — the scalar loops from tensor.hpp;
@@ -24,10 +28,11 @@
 ///  * `fixedN`   — fully specialized for the common production orders
 ///                 (n = 4, 6, 8, 10, 12; paper production degree 7 → n = 8):
 ///                 compile-time trip counts let the compiler unroll and keep
-///                 the operator row in registers. Fixed variants verify the
-///                 runtime shape and delegate to `simd` when it does not
-///                 match (rectangular interpolation operators reuse the same
-///                 entry points).
+///                 the operator row in registers. Besides the N×N element
+///                 shape they cover the 3/2-rule dealias shapes M×N and
+///                 N×M (M = dealias_nodes(N)) that the advector and interp3
+///                 chains apply through the same entry points; any other
+///                 runtime shape delegates to `simd`.
 ///
 /// The registries (`axis0_variants(n)` …) enumerate the candidates for one
 /// polynomial order; device::autotune times them and `TensorKernels` carries
@@ -88,37 +93,52 @@ inline void apply_axis0_simd(const Op1D& op, const real_t* u, real_t* out,
   }
 }
 
-/// apply_axis0 specialized to an N×N operator: compile-time trip counts, the
-/// transposed operator and the accumulator strip live on the stack. Delegates
-/// to the generic simd variant when the runtime shape is not N×N.
+namespace detail {
+/// apply_axis0 for an R×C operator with compile-time trip counts: the
+/// transposed operator and the accumulator strip live on the stack.
+template <int R, int C>
+inline void axis0_fixed(const Op1D& op, const real_t* u, real_t* out, int d1,
+                        int d2) {
+  detail::check_op(op, d1, d2);
+  real_t at[R * C];
+  for (int i = 0; i < R; ++i)
+    for (int a = 0; a < C; ++a)
+      at[a * R + i] = op.a[static_cast<usize>(i * C + a)];
+  const lidx_t ncol = static_cast<lidx_t>(d1) * static_cast<lidx_t>(d2);
+  real_t t[R];
+  for (lidx_t m = 0; m < ncol; ++m) {
+    const real_t* uin = u + static_cast<usize>(C) * static_cast<usize>(m);
+    real_t* uout = out + static_cast<usize>(R) * static_cast<usize>(m);
+    FELIS_TENSOR_SIMD
+    for (int i = 0; i < R; ++i) t[i] = 0;
+    for (int a = 0; a < C; ++a) {
+      const real_t ua = uin[a];
+      const real_t* col = at + a * R;
+      FELIS_TENSOR_SIMD
+      for (int i = 0; i < R; ++i) t[i] += col[i] * ua;
+    }
+    FELIS_TENSOR_SIMD
+    for (int i = 0; i < R; ++i) uout[i] = t[i];
+  }
+}
+}  // namespace detail
+
+/// apply_axis0 specialized to order N: the N×N element operator and the
+/// M×N / N×M dealias interpolation and projection operators
+/// (M = dealias_nodes(N)) run with compile-time trip counts. Any other
+/// shape delegates to the generic simd variant.
 template <int N>
 inline void apply_axis0_fixed(const Op1D& op, const real_t* u, real_t* out,
                               int d1, int d2) {
-  if (op.rows != N || op.cols != N) {
+  constexpr int M = dealias_nodes(N);
+  if (op.rows == N && op.cols == N)
+    detail::axis0_fixed<N, N>(op, u, out, d1, d2);
+  else if (op.rows == M && op.cols == N)
+    detail::axis0_fixed<M, N>(op, u, out, d1, d2);
+  else if (op.rows == N && op.cols == M)
+    detail::axis0_fixed<N, M>(op, u, out, d1, d2);
+  else
     apply_axis0_simd(op, u, out, d1, d2);
-    return;
-  }
-  detail::check_op(op, d1, d2);
-  real_t at[N * N];
-  for (int i = 0; i < N; ++i)
-    for (int a = 0; a < N; ++a)
-      at[a * N + i] = op.a[static_cast<usize>(i * N + a)];
-  const lidx_t ncol = static_cast<lidx_t>(d1) * static_cast<lidx_t>(d2);
-  real_t t[N];
-  for (lidx_t m = 0; m < ncol; ++m) {
-    const real_t* uin = u + static_cast<usize>(N) * static_cast<usize>(m);
-    real_t* uout = out + static_cast<usize>(N) * static_cast<usize>(m);
-    FELIS_TENSOR_SIMD
-    for (int i = 0; i < N; ++i) t[i] = 0;
-    for (int a = 0; a < N; ++a) {
-      const real_t ua = uin[a];
-      const real_t* col = at + a * N;
-      FELIS_TENSOR_SIMD
-      for (int i = 0; i < N; ++i) t[i] += col[i] * ua;
-    }
-    FELIS_TENSOR_SIMD
-    for (int i = 0; i < N; ++i) uout[i] = t[i];
-  }
 }
 
 // ---- axis1 ------------------------------------------------------------------
@@ -151,34 +171,48 @@ inline void apply_axis1_simd(const Op1D& op, const real_t* u, real_t* out,
   }
 }
 
-/// apply_axis1 specialized to an N×N operator applied to N-long lanes
-/// (the square element case). Delegates to simd otherwise.
-template <int N>
-inline void apply_axis1_fixed(const Op1D& op, const real_t* u, real_t* out,
-                              int d0, int d2) {
-  if (op.rows != N || op.cols != N || d0 != N) {
-    apply_axis1_simd(op, u, out, d0, d2);
-    return;
-  }
-  detail::check_op(op, d0, d2);
+namespace detail {
+/// apply_axis1 for an R×C operator on D0-long lanes with compile-time trip
+/// counts (d2 stays a runtime extent).
+template <int R, int C, int D0>
+inline void axis1_fixed(const Op1D& op, const real_t* u, real_t* out,
+                        int d2) {
+  detail::check_op(op, D0, d2);
   for (int k = 0; k < d2; ++k) {
-    const real_t* uk = u + static_cast<usize>(N) * static_cast<usize>(N) *
-                               static_cast<usize>(k);
-    real_t* ok = out + static_cast<usize>(N) * static_cast<usize>(N) *
-                           static_cast<usize>(k);
-    for (int j = 0; j < N; ++j) {
-      real_t* oj = ok + static_cast<usize>(N) * static_cast<usize>(j);
+    const real_t* uk = u + static_cast<usize>(D0 * C) * static_cast<usize>(k);
+    real_t* ok = out + static_cast<usize>(D0 * R) * static_cast<usize>(k);
+    for (int j = 0; j < R; ++j) {
+      real_t* oj = ok + static_cast<usize>(D0) * static_cast<usize>(j);
       FELIS_TENSOR_SIMD
-      for (int i = 0; i < N; ++i) oj[i] = 0;
-      const real_t* row = op.a.data() + static_cast<usize>(j * N);
-      for (int a = 0; a < N; ++a) {
+      for (int i = 0; i < D0; ++i) oj[i] = 0;
+      const real_t* row = op.a.data() + static_cast<usize>(j * C);
+      for (int a = 0; a < C; ++a) {
         const real_t w = row[a];
-        const real_t* ua = uk + static_cast<usize>(N) * static_cast<usize>(a);
+        const real_t* ua = uk + static_cast<usize>(D0) * static_cast<usize>(a);
         FELIS_TENSOR_SIMD
-        for (int i = 0; i < N; ++i) oj[i] += w * ua[i];
+        for (int i = 0; i < D0; ++i) oj[i] += w * ua[i];
       }
     }
   }
+}
+}  // namespace detail
+
+/// apply_axis1 specialized to order N: the square element case (N×N on
+/// N-long lanes), the dealias interpolation mid-chain (M×N on M-long lanes)
+/// and the projection mid-chain (N×M on N-long lanes). Any other shape
+/// delegates to simd.
+template <int N>
+inline void apply_axis1_fixed(const Op1D& op, const real_t* u, real_t* out,
+                              int d0, int d2) {
+  constexpr int M = dealias_nodes(N);
+  if (op.rows == N && op.cols == N && d0 == N)
+    detail::axis1_fixed<N, N, N>(op, u, out, d2);
+  else if (op.rows == M && op.cols == N && d0 == M)
+    detail::axis1_fixed<M, N, M>(op, u, out, d2);
+  else if (op.rows == N && op.cols == M && d0 == N)
+    detail::axis1_fixed<N, M, N>(op, u, out, d2);
+  else
+    apply_axis1_simd(op, u, out, d0, d2);
 }
 
 // ---- axis2 ------------------------------------------------------------------
@@ -232,29 +266,43 @@ inline void apply_axis2_blocked(const Op1D& op, const real_t* u, real_t* out,
   }
 }
 
-/// apply_axis2 specialized to an N×N operator over an N×N plane. Delegates
-/// to simd otherwise.
-template <int N>
-inline void apply_axis2_fixed(const Op1D& op, const real_t* u, real_t* out,
-                              int d0, int d1) {
-  if (op.rows != N || op.cols != N || d0 != N || d1 != N) {
-    apply_axis2_simd(op, u, out, d0, d1);
-    return;
-  }
-  detail::check_op(op, d0, d1);
-  constexpr usize plane = static_cast<usize>(N) * static_cast<usize>(N);
-  for (int k = 0; k < N; ++k) {
+namespace detail {
+/// apply_axis2 for an R×C operator over a D×D plane with compile-time trip
+/// counts.
+template <int R, int C, int D>
+inline void axis2_fixed(const Op1D& op, const real_t* u, real_t* out) {
+  detail::check_op(op, D, D);
+  constexpr usize plane = static_cast<usize>(D) * static_cast<usize>(D);
+  for (int k = 0; k < R; ++k) {
     real_t* ok = out + plane * static_cast<usize>(k);
     FELIS_TENSOR_SIMD
     for (usize i = 0; i < plane; ++i) ok[i] = 0;
-    const real_t* row = op.a.data() + static_cast<usize>(k * N);
-    for (int a = 0; a < N; ++a) {
+    const real_t* row = op.a.data() + static_cast<usize>(k * C);
+    for (int a = 0; a < C; ++a) {
       const real_t w = row[a];
       const real_t* ua = u + plane * static_cast<usize>(a);
       FELIS_TENSOR_SIMD
       for (usize i = 0; i < plane; ++i) ok[i] += w * ua[i];
     }
   }
+}
+}  // namespace detail
+
+/// apply_axis2 specialized to order N: N×N over an N×N plane, the dealias
+/// interpolation's last sweep (M×N over an M×M plane) and the projection's
+/// last sweep (N×M over an N×N plane). Any other shape delegates to simd.
+template <int N>
+inline void apply_axis2_fixed(const Op1D& op, const real_t* u, real_t* out,
+                              int d0, int d1) {
+  constexpr int M = dealias_nodes(N);
+  if (op.rows == N && op.cols == N && d0 == N && d1 == N)
+    detail::axis2_fixed<N, N, N>(op, u, out);
+  else if (op.rows == M && op.cols == N && d0 == M && d1 == M)
+    detail::axis2_fixed<M, N, M>(op, u, out);
+  else if (op.rows == N && op.cols == M && d0 == N && d1 == N)
+    detail::axis2_fixed<N, M, N>(op, u, out);
+  else
+    apply_axis2_simd(op, u, out, d0, d1);
 }
 
 // ---- composite kernels ------------------------------------------------------
@@ -291,6 +339,27 @@ inline void interp3_simd(const Op1D& op, const real_t* u, real_t* out,
   apply_axis0_simd(op, u, t1, n, n);
   apply_axis1_simd(op, t1, t2, m, n);
   apply_axis2_simd(op, t2, out, m, m);
+}
+
+/// interp3 specialized to order N onto the dealias grid (m = M): the three
+/// sweeps run at compile-time shapes M×N×N → M×M×N → M×M×M. Any other
+/// (n, m) delegates to interp3_simd.
+template <int N>
+inline void interp3_fixed(const Op1D& op, const real_t* u, real_t* out,
+                          real_t* work, int n, int m) {
+  constexpr int M = dealias_nodes(N);
+  if (n != N || m != M) {
+    interp3_simd(op, u, out, work, n, m);
+    return;
+  }
+  FELIS_ASSERT_MSG(op.rows == M && op.cols == N,
+                   "interp3: operator is " << op.rows << "x" << op.cols
+                                           << ", expected " << M << "x" << N);
+  real_t* t1 = work;  // M*N*N
+  real_t* t2 = work + static_cast<usize>(M * N * N);
+  detail::axis0_fixed<M, N>(op, u, t1, N, N);
+  detail::axis1_fixed<M, N, M>(op, t1, t2, N);
+  detail::axis2_fixed<M, N, M>(op, t2, out);
 }
 
 // ---- dispatch table ---------------------------------------------------------
@@ -366,6 +435,10 @@ template <int N>
 struct PickGrad {
   static constexpr GradFn fn = &grad_ref_fixed<N>;
 };
+template <int N>
+struct PickInterp {
+  static constexpr InterpFn fn = &interp3_fixed<N>;
+};
 }  // namespace detail
 
 /// Candidate tables for one polynomial order (n = nodes per direction). The
@@ -397,8 +470,10 @@ inline std::vector<GradVariant> grad_variants(int n) {
   return v;
 }
 
-inline std::vector<InterpVariant> interp_variants(int /*n*/) {
-  return {{"ref", &interp3}, {"simd", &interp3_simd}};
+inline std::vector<InterpVariant> interp_variants(int n) {
+  std::vector<InterpVariant> v{{"ref", &interp3}, {"simd", &interp3_simd}};
+  detail::add_fixed<detail::PickInterp>(v, n);
+  return v;
 }
 
 }  // namespace felis::field

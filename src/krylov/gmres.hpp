@@ -16,7 +16,9 @@ class GmresSolver {
   /// `batched_orthogonalization`: classical Gram–Schmidt with all basis dot
   /// products fused into ONE global reduction per iteration (the standard
   /// production choice at scale — modified GS would cost k reductions per
-  /// iteration); a second pass is applied when cancellation is detected.
+  /// iteration). It is a single pass: there is no re-orthogonalisation, so a
+  /// basis that loses orthogonality through cancellation is used as is.
+  /// `false` selects modified Gram–Schmidt, one reduction per basis vector.
   GmresSolver(const operators::Context& ctx, int restart = 30,
               bool batched_orthogonalization = true)
       : ctx_(ctx),

@@ -7,18 +7,23 @@
 // makes the autotuner safe — its timing nondeterminism can change which
 // variant wins, but never what the solver computes. The final test holds the
 // full solver to it: a multi-step RBC solve with tuning on must match one
-// with the kernels pinned to the reference, bitwise.
+// with the kernels pinned to the reference, bitwise. The FpContraction tests
+// guard the build side of the contract: no flag may fuse a*b+c into an FMA.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "case/rbc.hpp"
 #include "common/error.hpp"
 #include "device/autotune.hpp"
 #include "field/tensor_simd.hpp"
+#include "operators/ops.hpp"
 #include "operators/setup.hpp"
 #include "operators/tensor_dispatch.hpp"
 #include "precon/coarse.hpp"
@@ -111,8 +116,9 @@ TEST(TensorVariants, GradBitwiseAtAllOrders) {
 
 // Rectangular operators: the dealiased advector applies nd×n interpolation
 // and n×nd projection ops through the SAME tuned pointers, so every variant
-// (including the fixed-N specializations, which must detect the shape
-// mismatch and delegate) has to reproduce the reference bitwise there too.
+// (including the fixed-N specializations, which run the dealias shape at
+// compile-time extents and delegate every other shape) has to reproduce the
+// reference bitwise there too.
 TEST(TensorVariants, RectangularOpsBitwise) {
   std::mt19937 rng(4242);
   for (int n = 2; n <= 12; ++n) {
@@ -176,6 +182,132 @@ TEST(TensorVariants, Interp3Bitwise) {
                                    std::to_string(n));
     }
   }
+}
+
+// The fixedN variants carry compile-time shapes for both 3/2-rule dealias
+// directions at their own order: N→M (the advector's interpolation and
+// Gauss-point derivative chains) and M→N (its projection back), all three
+// axes, plus the interp3 chain. Every registry variant at these orders must
+// match the reference there bit for bit.
+TEST(TensorVariants, FixedVariantsBitwiseOnDealiasShapes) {
+  std::mt19937 rng(2718);
+  for (const int n : {4, 6, 8, 10, 12}) {
+    const int m = field::dealias_nodes(n);
+    const std::string fixed = "fixed" + std::to_string(n);
+    const usize un = static_cast<usize>(n), um = static_cast<usize>(m);
+    const auto has_fixed = [&](const auto& variants) {
+      for (const auto& v : variants)
+        if (fixed == v.name) return true;
+      return false;
+    };
+    ASSERT_TRUE(has_fixed(field::axis0_variants(n))) << fixed;
+    ASSERT_TRUE(has_fixed(field::axis1_variants(n))) << fixed;
+    ASSERT_TRUE(has_fixed(field::axis2_variants(n))) << fixed;
+    ASSERT_TRUE(has_fixed(field::interp_variants(n))) << fixed;
+
+    // rows×cols operator; `from` points per direction in, `to` points out.
+    for (const auto& dir : {std::pair{n, m}, std::pair{m, n}}) {
+      const int from = dir.first, to = dir.second;
+      const usize uf = static_cast<usize>(from), ut = static_cast<usize>(to);
+      const field::Op1D op = random_op(rng, to, from);
+      const std::string shape = "/" + std::to_string(from) + "->" +
+                                std::to_string(to) + "/n=" + std::to_string(n);
+      const auto check = [&](const char* axis,
+                             const std::vector<field::AxisVariant>& variants,
+                             field::AxisFn ref_fn, usize in_size,
+                             usize out_size, int da, int db) {
+        const RealVec u = random_vec(rng, in_size);
+        RealVec ref(out_size), got(out_size);
+        ref_fn(op, u.data(), ref.data(), da, db);
+        for (const field::AxisVariant& v : variants) {
+          got.assign(out_size, -7.0);
+          v.fn(op, u.data(), got.data(), da, db);
+          expect_bitwise(ref, got, std::string(axis) + "/" + v.name + shape);
+        }
+      };
+      // The chain from·from·from → to·from·from → to·to·from → to·to·to.
+      check("axis0", field::axis0_variants(n), &field::apply_axis0,
+            uf * uf * uf, ut * uf * uf, from, from);
+      check("axis1", field::axis1_variants(n), &field::apply_axis1,
+            ut * uf * uf, ut * ut * uf, to, from);
+      check("axis2", field::axis2_variants(n), &field::apply_axis2,
+            ut * ut * uf, ut * ut * ut, to, to);
+    }
+
+    const field::Op1D op = random_op(rng, m, n);
+    const RealVec u = random_vec(rng, un * un * un);
+    RealVec work(um * un * (um + un));
+    RealVec ref(um * um * um), got(um * um * um);
+    field::interp3(op, u.data(), ref.data(), work.data(), n, m);
+    for (const field::InterpVariant& v : field::interp_variants(n)) {
+      got.assign(got.size(), -7.0);
+      work.assign(work.size(), -3.0);
+      v.fn(op, u.data(), got.data(), work.data(), n, m);
+      expect_bitwise(ref, got,
+                     "interp3/" + std::string(v.name) + "/n=" + std::to_string(n));
+    }
+  }
+}
+
+// ---- floating-point contraction guard ---------------------------------------
+
+// a·x is exactly 1 + 2⁻²⁹ + 2⁻⁶⁰, which rounds to 1 + 2⁻²⁹, so the separately
+// rounded a·x + y is exactly 0 while a fused multiply-add keeps 2⁻⁶⁰. The
+// bitwise contract (tuned ≡ reference on every ISA) requires the unfused
+// result from library and inline kernels alike: these tests fail as soon as
+// any build flag lets the compiler contract a*b+c into an FMA again.
+constexpr real_t kContractA = 1.0 + 0x1p-30;
+constexpr real_t kContractX = 1.0 + 0x1p-30;
+constexpr real_t kContractY = -(1.0 + 0x1p-29);
+
+TEST(FpContraction, InputsDiscriminateFusedFromUnfused) {
+  EXPECT_EQ(std::fma(kContractA, kContractX, kContractY), 0x1p-60);
+}
+
+TEST(FpContraction, LibraryVecAxpyIsUnfused) {
+  device::SerialBackend backend;
+  const RealVec x(67, kContractX);  // long enough for the vector loop + tail
+  RealVec y(67, kContractY);
+  operators::vec_axpy(backend, kContractA, x, y);
+  for (usize i = 0; i < y.size(); ++i)
+    ASSERT_EQ(y[i], 0.0) << "vec_axpy fused a*x+y at index " << i;
+}
+
+// Every axis variant at the production order n = 8 (any of them can be the
+// tuned winner): the operator row [1, a, 0, …] contracts u = [y, x, 1, …]
+// to 0 + 1·y + a·x + 0·1 + … , which is 0 unfused and 2⁻⁶⁰ fused.
+TEST(FpContraction, TensorVariantsAreUnfused) {
+  constexpr int n = 8;
+  const usize n3 = static_cast<usize>(n * n * n);
+  field::Op1D op;
+  op.rows = op.cols = n;
+  op.a.assign(static_cast<usize>(n * n), 0.0);
+  for (int r = 0; r < n; ++r) {
+    op.a[static_cast<usize>(r * n)] = 1.0;
+    op.a[static_cast<usize>(r * n + 1)] = kContractA;
+  }
+  // u's value as a function of the contraction coordinate c.
+  const auto along = [](int c) {
+    return c == 0 ? kContractY : c == 1 ? kContractX : 1.0;
+  };
+  const auto run = [&](const char* axis,
+                       const std::vector<field::AxisVariant>& variants,
+                       int stride) {
+    RealVec u(n3);
+    for (usize q = 0; q < n3; ++q)
+      u[q] = along(static_cast<int>(q / static_cast<usize>(stride)) % n);
+    RealVec out(n3);
+    for (const field::AxisVariant& v : variants) {
+      out.assign(n3, -7.0);
+      v.fn(op, u.data(), out.data(), n, n);
+      for (usize q = 0; q < n3; ++q)
+        ASSERT_EQ(out[q], 0.0)
+            << axis << "/" << v.name << " fused a*x+y at index " << q;
+    }
+  };
+  run("axis0", field::axis0_variants(n), 1);
+  run("axis1", field::axis1_variants(n), n);
+  run("axis2", field::axis2_variants(n), n * n);
 }
 
 // ---- autotuner --------------------------------------------------------------

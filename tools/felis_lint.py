@@ -87,6 +87,14 @@ Rules
                       (ctx.kern().axis0(...) etc.) or a field::TensorKernels
                       member. tests/ and bench/ are exempt by design: they
                       exercise and time the raw variants.
+  fp-flags            No CMakeLists.txt or CMakePresets.json may enable
+                      floating-point contraction or value-changing math:
+                      -ffast-math, -Ofast, -ffp-contract=fast|on, -mfma.
+                      felis builds for the host ISA with -ffp-contract=off so
+                      every vector lane rounds a*b and +c separately, exactly
+                      like the scalar reference; a fused multiply-add breaks
+                      the bitwise invariants (tuned ≡ reference, serial ≡
+                      OpenMP, restart).
 
 Usage
 -----
@@ -229,6 +237,12 @@ SPOOL_LITERAL_RE = re.compile(
 # table dispatches (kern.axis0(...)) or address-of uses (&apply_axis0).
 RAW_TENSOR_CALL_RE = re.compile(
     r"(?<!&)\b(?:field\s*::\s*)?(apply_axis[012]|grad_ref|interp3)\s*\(")
+
+# Build flags that let the compiler change floating-point results: value-
+# unsafe optimisation levels and any contraction into fused multiply-adds.
+FP_FLAGS_RE = re.compile(
+    r"(?<![\w-])(-ffast-math|-Ofast|-ffp-contract=(?:fast|on)|-mfma)(?![\w-])")
+FP_FLAGS_FILES = {"CMakeLists.txt", "CMakePresets.json"}
 
 TRACKED_ARTIFACT_RES = [
     re.compile(r"(^|/)build[^/]*/"),
@@ -635,6 +649,31 @@ def check_raw_tensor_call(root):
     return out
 
 
+def check_fp_flags(root):
+    out = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        # Build trees hold generated CMake files, not the project's own.
+        dirnames[:] = sorted(d for d in dirnames
+                             if not d.startswith((".", "build")))
+        for fn in sorted(filenames):
+            if fn not in FP_FLAGS_FILES:
+                continue
+            path = os.path.join(dirpath, fn)
+            relpath = rel(root, path)
+            for lineno, line in enumerate(
+                    open(path, encoding="utf-8").read().splitlines(), 1):
+                if fn == "CMakeLists.txt":
+                    line = line.split("#", 1)[0]  # CMake comments may explain
+                m = FP_FLAGS_RE.search(line)
+                if m:
+                    out.append(Violation(
+                        relpath, lineno, "fp-flags",
+                        f"{m.group(1)} lets the compiler fuse or reassociate "
+                        "floating-point operations and breaks the bitwise "
+                        "invariants; felis builds with -ffp-contract=off"))
+    return out
+
+
 ALL_CHECKS = [
     check_raw_abort,
     check_stray_stdout,
@@ -650,6 +689,7 @@ ALL_CHECKS = [
     check_raw_ndjson_read,
     check_spool_confinement,
     check_raw_tensor_call,
+    check_fp_flags,
 ]
 
 
@@ -837,6 +877,18 @@ SEEDED = {
         "  kern.axis0(op, u, o, n, n);\n"
         "  field::apply_axis0_simd(op, u, o, n, n);\n"
         "  auto* fn = &field::apply_axis0;\n  (void)fn;\n}\n"),
+    "src/CMakeLists.txt": (
+        "fp-flags",
+        "# -ffp-contract=fast in a comment is fine\n"
+        "target_compile_options(felis_x PUBLIC -march=native -ffp-contract=fast)\n"),
+    "CMakePresets.json": (
+        "fp-flags",
+        '{"configurePresets": [{"name": "fast", "cacheVariables": '
+        '{"CMAKE_CXX_FLAGS": "-Ofast"}}]}\n'),
+    "tests/CMakeLists.txt": (
+        None,  # contraction pinned off is clean, and so are comments
+        "# never -mfma or -ffast-math here\n"
+        "add_compile_options(-ffp-contract=off -march=native)\n"),
     "src/field/tensor_site.cpp": (
         None,  # src/field/ owns the kernels and may call them raw
         "void h(const double* u, double* o, int n) {\n"
