@@ -79,6 +79,7 @@ int main(int argc, char** argv) {
       {{"program", "quickstart"},
        {"type", info->type},
        {"backend", backend.name()},
+       {"kernels", fine.kernels.describe()},
        {"threads", std::to_string(backend.concurrency())},
        {"degree", std::to_string(geo.degree)},
        {"Ra", params.get_string("case.Ra", "default")},

@@ -1,108 +1,21 @@
 /// \file autotune.hpp
-/// \brief Kernel autotuning: time candidate implementations, cache winners
-/// per (kernel, n, backend, threads) key, optionally persist across runs.
+/// \brief No-op stand-in for the removed run-time kernel tuner's cache.
 ///
-/// "The interface also allows for vendor-specific optimizations, with
-/// auto-tuning of key kernels for sustained performance" (§5.1). felis uses
-/// the same pattern for its tensor-product kernels: at RankSetup
-/// construction, candidate variants are timed on representative data and the
-/// fastest is selected for the rest of the run. Selections are cached in a
-/// process-wide table so identical keys tune exactly once per process, and —
-/// when the FELIS_TUNE_CACHE environment variable names a file — persisted
-/// across processes so campaign workers skip re-tuning entirely.
-///
-/// The tuner only ever *selects among bitwise-identical variants* (see
-/// field/tensor_simd.hpp), so its timing nondeterminism never perturbs
-/// results; it is also why a stale persisted winner is harmless.
+/// Exists only so the frozen benchmark harness (perfbench/felis_perfbench.cpp)
+/// keeps building: it clears this cache before every timed set-up. Kernels
+/// now come from the static field::TensorKernels::for_order table, so there
+/// is nothing to clear. Do not use it in new code.
 #pragma once
-
-#include <functional>
-#include <map>
-#include <mutex>
-#include <string>
-#include <vector>
-
-#include "common/types.hpp"
 
 namespace felis::device {
 
-struct TuneCandidate {
-  std::string name;
-  std::function<void()> run;
-};
-
-struct TuneResult {
-  usize best_index = 0;
-  std::vector<double> seconds;  ///< best-of-reps time per candidate (empty
-                                ///< when the winner came from the cache)
-  bool from_cache = false;      ///< true: no candidate was timed
-};
-
-/// Time each candidate `reps` times (after one warmup) and return the index
-/// of the fastest along with all timings. `reps` must be >= 1: with zero
-/// repetitions no timing would ever be recorded and candidate 0 would win on
-/// its +inf sentinel.
-TuneResult autotune(const std::vector<TuneCandidate>& candidates, int reps = 3);
-
-/// Identity of one tuning decision. `n` is the kernel's size parameter
-/// (nodes per direction for the tensor kernels); `backend`/`threads` pin the
-/// execution environment the timing was taken in.
-struct TuneKey {
-  std::string kernel;
-  int n = 0;
-  std::string backend;
-  int threads = 1;
-
-  bool operator<(const TuneKey& o) const {
-    if (kernel != o.kernel) return kernel < o.kernel;
-    if (n != o.n) return n < o.n;
-    if (backend != o.backend) return backend < o.backend;
-    return threads < o.threads;
-  }
-  std::string to_string() const;
-};
-
-/// Process-wide winner table. Thread-safe; keys tune once. When
-/// FELIS_TUNE_CACHE names a file, the table is seeded from it on first use
-/// and rewritten after every fresh tune (plain text, one
-/// `kernel n backend threads winner best_seconds` line per key; a torn file
-/// only costs a re-tune, so no atomic-rename machinery is needed here).
 class TuneCache {
  public:
-  static TuneCache& instance();
-
-  /// Tune-or-fetch: if `key` has a cached winner whose name matches one of
-  /// `candidates`, return it without running anything (from_cache = true);
-  /// otherwise run `autotune(candidates, reps)`, record the winner and
-  /// persist it.
-  TuneResult tune(const TuneKey& key,
-                  const std::vector<TuneCandidate>& candidates, int reps = 3);
-
-  /// Cached winner name for `key`, or "" when the key is unknown.
-  std::string lookup(const TuneKey& key);
-
-  /// Record an externally decided winner (also persists).
-  void record(const TuneKey& key, const std::string& winner,
-              double best_seconds);
-
-  /// Number of cached keys.
-  usize size();
-
-  /// Drop every entry and forget that the persisted file was loaded (tests).
-  void clear();
-
- private:
-  TuneCache() = default;
-  void load_file_locked();
-  void save_file_locked();
-
-  struct Entry {
-    std::string winner;
-    double seconds = 0;
-  };
-  std::mutex mutex_;
-  std::map<TuneKey, Entry> table_;
-  bool file_loaded_ = false;
+  static TuneCache& instance() {
+    static TuneCache cache;
+    return cache;
+  }
+  void clear() {}
 };
 
 }  // namespace felis::device

@@ -6,9 +6,9 @@
 /// spectral-element method (§5.1): every element operator (stiffness, mass,
 /// gradient, interpolation) is a chain of them. They are written as tight
 /// scalar loops over contiguous data and are the bitwise reference: the
-/// `simd`, `blockK` and `fixedN` variants in tensor_simd.hpp reproduce them
-/// bit for bit, and operators/tensor_dispatch picks among those variants
-/// per polynomial order.
+/// `simd` and `fixedN` variants in tensor_simd.hpp reproduce them bit for
+/// bit, and the static table TensorKernels::for_order there picks one
+/// variant per kernel and polynomial order.
 #pragma once
 
 #include "common/error.hpp"

@@ -1,6 +1,6 @@
 /// \file tensor_simd.hpp
-/// \brief Vectorized tensor-product kernel variants + the dispatch table the
-/// autotuner fills in.
+/// \brief Vectorized tensor-product kernel variants and the static per-order
+/// table that picks one of them for each kernel.
 ///
 /// Every variant here is *bitwise identical* to its reference kernel in
 /// tensor.hpp by construction: for each output value the sequence of
@@ -9,9 +9,9 @@
 /// only to independent outputs — the contraction (reduction) dimension is
 /// never split across lanes, because `omp simd reduction` licenses
 /// reassociation and would break the repo-wide bitwise-equivalence contract
-/// (serial vs OpenMP at any thread count, tuned vs untuned, restart
-/// exactness). This is why the autotuner may pick different winners per
-/// (backend, threads) key without perturbing a single bit of the solution.
+/// (serial vs OpenMP at any thread count, selected vs reference kernels,
+/// restart exactness). Which variant the table picks therefore never changes
+/// a single bit of the solution, only its speed.
 /// The same sequence also forbids fusing `t += a * b` into one FMA rounding:
 /// felis compiles for the host's vector ISA with `-ffp-contract=off`
 /// (src/CMakeLists.txt), so every lane performs the reference's separately
@@ -22,9 +22,6 @@
 ///  * `simd`     — `#pragma omp simd` over contiguous output lanes, with the
 ///                 small operator pre-transposed onto the stack where the
 ///                 reference access pattern is strided (axis0);
-///  * `blockK`   — cache-blocked loop order (axis2): the output plane is
-///                 processed in chunks so each input chunk is reused across
-///                 all output rows while it is L1-resident;
 ///  * `fixedN`   — fully specialized for the common production orders
 ///                 (n = 4, 6, 8, 10, 12; paper production degree 7 → n = 8):
 ///                 compile-time trip counts let the compiler unroll and keep
@@ -34,13 +31,16 @@
 ///                 chains apply through the same entry points; any other
 ///                 runtime shape delegates to `simd`.
 ///
-/// The registries (`axis0_variants(n)` …) enumerate the candidates for one
-/// polynomial order; device::autotune times them and `TensorKernels` carries
-/// the winners through operators::Context into every hot-path caller
+/// `TensorKernels::for_order(n)` is the one way a solver picks its kernels:
+/// a fixed table, measured once (DESIGN.md §13), with no run-time timing.
+/// operators::Context carries the table into every hot-path caller
 /// (felis-lint's `raw-tensor-call` rule keeps direct apply_axis* calls out of
-/// the rest of src/).
+/// the rest of src/). The registries (`axis0_variants(n)` …) enumerate every
+/// variant for one order so the tests can hold each of them to the
+/// reference bit for bit.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "field/tensor.hpp"
@@ -238,34 +238,6 @@ inline void apply_axis2_simd(const Op1D& op, const real_t* u, real_t* out,
   }
 }
 
-/// Cache-blocked apply_axis2: the plane is processed in L1-sized chunks and
-/// the whole k/a double loop runs per chunk, so every input chunk u(·,·,a) is
-/// reused r times while resident. Per output value the accumulation order is
-/// unchanged (blocking only partitions outputs), so it is bitwise identical.
-inline void apply_axis2_blocked(const Op1D& op, const real_t* u, real_t* out,
-                                int d0, int d1) {
-  detail::check_op(op, d0, d1);
-  const int r = op.rows, c = op.cols;
-  const usize plane = static_cast<usize>(d0) * static_cast<usize>(d1);
-  constexpr usize kBlock = 512;  // 4 KiB of doubles per input chunk
-  for (usize b0 = 0; b0 < plane; b0 += kBlock) {
-    const usize b1 = b0 + kBlock < plane ? b0 + kBlock : plane;
-    for (int k = 0; k < r; ++k) {
-      real_t* ok = out + plane * static_cast<usize>(k);
-      FELIS_TENSOR_SIMD
-      for (usize i = b0; i < b1; ++i) ok[i] = 0;
-      const real_t* row =
-          op.a.data() + static_cast<usize>(k) * static_cast<usize>(c);
-      for (int a = 0; a < c; ++a) {
-        const real_t w = row[a];
-        const real_t* ua = u + plane * static_cast<usize>(a);
-        FELIS_TENSOR_SIMD
-        for (usize i = b0; i < b1; ++i) ok[i] += w * ua[i];
-      }
-    }
-  }
-}
-
 namespace detail {
 /// apply_axis2 for an R×C operator over a D×D plane with compile-time trip
 /// counts.
@@ -362,7 +334,7 @@ inline void interp3_fixed(const Op1D& op, const real_t* u, real_t* out,
   detail::axis2_fixed<M, N, M>(op, t2, out);
 }
 
-// ---- dispatch table ---------------------------------------------------------
+// ---- kernel table -----------------------------------------------------------
 
 using AxisFn = void (*)(const Op1D&, const real_t*, real_t*, int, int);
 using GradFn = void (*)(const Op1D&, const real_t*, real_t*, real_t*, real_t*,
@@ -370,10 +342,9 @@ using GradFn = void (*)(const Op1D&, const real_t*, real_t*, real_t*, real_t*,
 using InterpFn = void (*)(const Op1D&, const real_t*, real_t*, real_t*, int,
                           int);
 
-/// The tensor-kernel dispatch table operators::Context carries: one function
-/// pointer per kernel plus the chosen variant's name (telemetry / logging).
-/// Default-constructed it points at the reference kernels, so untuned
-/// Contexts keep the exact seed behaviour.
+/// The tensor-kernel table operators::Context carries: one function pointer
+/// per kernel plus the chosen variant's name (the `kernels` telemetry header).
+/// Default-constructed it points at the reference kernels.
 struct TensorKernels {
   AxisFn axis0 = &apply_axis0;
   AxisFn axis1 = &apply_axis1;
@@ -392,9 +363,24 @@ struct TensorKernels {
     static const TensorKernels table;
     return table;
   }
+
+  /// The kernels for order `n` (nodes per direction), from a static table of
+  /// per-(kernel, n) winners measured on n = 2..12 (DESIGN.md §13):
+  ///  * n = 4, 6, 8, 10, 12: `fixedN` in every slot;
+  ///  * other n: `simd` for axis1 and axis2; `ref` for axis0 up to n = 7,
+  ///    for grad up to n = 5 and for interp3 up to n = 3, `simd` above.
+  static TensorKernels for_order(int n);
+
+  /// "axis0=<variant>,axis1=…,axis2=…,grad=…,interp3=…" — the `kernels`
+  /// telemetry header value.
+  std::string describe() const {
+    return std::string("axis0=") + axis0_name + ",axis1=" + axis1_name +
+           ",axis2=" + axis2_name + ",grad=" + grad_name +
+           ",interp3=" + interp_name;
+  }
 };
 
-/// One candidate implementation of an axis kernel.
+/// One variant of an axis kernel.
 struct AxisVariant {
   const char* name;
   AxisFn fn;
@@ -441,9 +427,9 @@ struct PickInterp {
 };
 }  // namespace detail
 
-/// Candidate tables for one polynomial order (n = nodes per direction). The
-/// reference kernel is always candidate 0, so a degenerate tuning run keeps
-/// the seed behaviour.
+/// Every variant of each kernel for one polynomial order (n = nodes per
+/// direction), reference first: what the bitwise tests sweep and the kernel
+/// benches time.
 inline std::vector<AxisVariant> axis0_variants(int n) {
   std::vector<AxisVariant> v{{"ref", &apply_axis0}, {"simd", &apply_axis0_simd}};
   detail::add_fixed<detail::PickAxis0>(v, n);
@@ -457,9 +443,7 @@ inline std::vector<AxisVariant> axis1_variants(int n) {
 }
 
 inline std::vector<AxisVariant> axis2_variants(int n) {
-  std::vector<AxisVariant> v{{"ref", &apply_axis2},
-                             {"simd", &apply_axis2_simd},
-                             {"block512", &apply_axis2_blocked}};
+  std::vector<AxisVariant> v{{"ref", &apply_axis2}, {"simd", &apply_axis2_simd}};
   detail::add_fixed<detail::PickAxis2>(v, n);
   return v;
 }
@@ -474,6 +458,45 @@ inline std::vector<InterpVariant> interp_variants(int n) {
   std::vector<InterpVariant> v{{"ref", &interp3}, {"simd", &interp3_simd}};
   detail::add_fixed<detail::PickInterp>(v, n);
   return v;
+}
+
+namespace detail {
+/// Every slot specialized to order N, each named `name`.
+template <int N>
+inline TensorKernels fixed_kernels(const char* name) {
+  return {&apply_axis0_fixed<N>, &apply_axis1_fixed<N>, &apply_axis2_fixed<N>,
+          &grad_ref_fixed<N>, &interp3_fixed<N>,
+          name, name, name, name, name};
+}
+}  // namespace detail
+
+inline TensorKernels TensorKernels::for_order(int n) {
+  switch (n) {
+    case 4: return detail::fixed_kernels<4>("fixed4");
+    case 6: return detail::fixed_kernels<6>("fixed6");
+    case 8: return detail::fixed_kernels<8>("fixed8");
+    case 10: return detail::fixed_kernels<10>("fixed10");
+    case 12: return detail::fixed_kernels<12>("fixed12");
+    default: break;
+  }
+  TensorKernels k;
+  k.axis1 = &apply_axis1_simd;
+  k.axis1_name = "simd";
+  k.axis2 = &apply_axis2_simd;
+  k.axis2_name = "simd";
+  if (n > 7) {
+    k.axis0 = &apply_axis0_simd;
+    k.axis0_name = "simd";
+  }
+  if (n > 5) {
+    k.grad = &grad_ref_simd;
+    k.grad_name = "simd";
+  }
+  if (n > 3) {
+    k.interp = &interp3_simd;
+    k.interp_name = "simd";
+  }
+  return k;
 }
 
 }  // namespace felis::field

@@ -13,6 +13,7 @@
 #include "case/registry.hpp"
 #include "comm/comm.hpp"
 #include "common/error.hpp"
+#include "device/backend.hpp"
 #include "fluid/checkpoint_manager.hpp"
 #include "io/atomic_file.hpp"
 #include "io/fault_injector.hpp"
@@ -64,9 +65,11 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
   const cases::CaseInfo& info = cases::resolve_case(params);
   const cases::Geometry geo = info.make_geometry(params);
 
+  device::Backend& backend = device::select_backend(params);
   auto fine = operators::make_rank_setup(geo.mesh, geo.degree, comm,
-                                         /*dealias=*/true);
-  auto coarse = precon::make_coarse_setup(geo.mesh, comm);
+                                         /*dealias=*/true,
+                                         /*three_halves_rule=*/true, &backend);
+  auto coarse = precon::make_coarse_setup(geo.mesh, comm, &backend);
 
   // Everything durable lives under the run directory; multi-rank cases keep
   // one rotation per rank (`felis.r<k>`) so restores stay rank-local.
@@ -92,7 +95,8 @@ void run_rank(const CaseSpec& cs, RunContext& ctx, comm::Communicator& comm,
             {"program", "felis_campaign"},
             {"case", cs.id},
             {"type", info.type},
-            {"backend", "serial"},
+            {"backend", backend.name()},
+            {"kernels", fine.kernels.describe()},
             {"threads", std::to_string(cs.threads)},
             {"degree", std::to_string(geo.degree)},
             {"rank", std::to_string(comm.rank())},

@@ -1,6 +1,6 @@
 // Tests for the device abstraction layer: streams (ordering, concurrency,
 // wait semantics), backends (blocked dispatch, deterministic reductions,
-// selection), per-thread workspaces, the autotuner and the trace recorder.
+// selection), per-thread workspaces and the trace recorder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 
 #include "common/error.hpp"
 #include "common/params.hpp"
-#include "device/autotune.hpp"
 #include "device/backend.hpp"
 #include "device/stream.hpp"
 #include "device/workspace.hpp"
@@ -319,20 +318,6 @@ TEST(Workspace, WorkersGetDisjointScratchUnderDispatch) {
   });
   EXPECT_EQ(overlaps.load(), 0);
 }
-
-TEST(Autotune, PicksTheFastestCandidate) {
-  const TuneResult result = autotune(
-      {{"slow", [] { std::this_thread::sleep_for(std::chrono::milliseconds(5)); }},
-       {"fast", [] {}},
-       {"medium",
-        [] { std::this_thread::sleep_for(std::chrono::milliseconds(1)); }}},
-      2);
-  EXPECT_EQ(result.best_index, 1u);
-  ASSERT_EQ(result.seconds.size(), 3u);
-  EXPECT_LT(result.seconds[1], result.seconds[0]);
-}
-
-TEST(Autotune, ThrowsOnEmpty) { EXPECT_THROW(autotune({}), Error); }
 
 TEST(Trace, RecordsAndRenders) {
   TraceRecorder trace;

@@ -588,6 +588,31 @@ TEST_F(ManifestTest, MultiRankCaseRunsUnderTheBudget) {
   EXPECT_GT(r1, 0);
 }
 
+TEST_F(ManifestTest, TelemetryHeaderNamesTheCaseBackendAndKernels) {
+  // The runner builds the case on its device.backend, and the telemetry
+  // header says which backend and which tensor-kernel variants ran.
+  ParamMap params = ParamMap::parse(R"(
+    campaign.workers = 1
+    campaign.thread_budget = 1
+    campaign.steps = 2
+    case.Ra = 2e4
+    case.dt = 1.5e-2
+    device.backend = openmp
+    telemetry.enabled = true
+  )");
+  params.set("campaign.dir", dir_);
+  CampaignSpec spec = CampaignSpec::from_params(params);
+  ASSERT_EQ(spec.cases.size(), 1u);
+  Scheduler scheduler(spec, make_case_runner());
+  ASSERT_TRUE(scheduler.run().all_done());
+  std::ifstream in(fs::path(dir_) / spec.cases[0].id / "telemetry" /
+                   "run.ndjson");
+  std::string header;
+  ASSERT_TRUE(std::getline(in, header));
+  EXPECT_NE(header.find(R"("backend":"openmp")"), std::string::npos) << header;
+  EXPECT_NE(header.find(R"("kernels":"axis0=)"), std::string::npos) << header;
+}
+
 // ---- service mode: checkpoint-boundary preemption ------------------------
 
 TEST_F(ManifestTest, PreemptedCaseResumesBitwiseIdentical) {

@@ -1,19 +1,17 @@
-// Vectorized tensor-kernel equivalence and autotuner-cache tests.
+// Vectorized tensor-kernel equivalence and per-order kernel table tests.
 //
 // The contract under test: every variant in the field/tensor_simd.hpp
 // registries produces THE SAME BITS as the scalar reference kernel for every
 // shape it can be called with (square and rectangular operators, all three
 // axes, the fused gradient, the interpolation chain). That contract is what
-// makes the autotuner safe — its timing nondeterminism can change which
-// variant wins, but never what the solver computes. The final test holds the
-// full solver to it: a multi-step RBC solve with tuning on must match one
-// with the kernels pinned to the reference, bitwise. The FpContraction tests
+// makes the per-order table safe — which variant it picks changes speed,
+// never what the solver computes. The final test holds the full solver to
+// it: a multi-step RBC solve with the selected kernels must match one with
+// the kernels pinned to the reference, bitwise. The FpContraction tests
 // guard the build side of the contract: no flag may fuse a*b+c into an FMA.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <utility>
@@ -21,11 +19,9 @@
 
 #include "case/rbc.hpp"
 #include "common/error.hpp"
-#include "device/autotune.hpp"
 #include "field/tensor_simd.hpp"
 #include "operators/ops.hpp"
 #include "operators/setup.hpp"
-#include "operators/tensor_dispatch.hpp"
 #include "precon/coarse.hpp"
 
 namespace felis {
@@ -310,123 +306,52 @@ TEST(FpContraction, TensorVariantsAreUnfused) {
   run("axis2", field::axis2_variants(n), n * n);
 }
 
-// ---- autotuner --------------------------------------------------------------
+// ---- per-order kernel table ------------------------------------------------
 
-TEST(Autotune, RejectsNonPositiveReps) {
-  // reps <= 0 used to leave every candidate at the +inf sentinel and silently
-  // crown candidate 0 with no timing at all.
-  const std::vector<device::TuneCandidate> cands{{"a", [] {}}, {"b", [] {}}};
-  EXPECT_THROW(device::autotune(cands, 0), Error);
-  EXPECT_THROW(device::autotune(cands, -3), Error);
-  EXPECT_NO_THROW(device::autotune(cands, 1));
-}
-
-TEST(TuneCache, SameKeyTunesExactlyOnce) {
-  device::TuneCache& cache = device::TuneCache::instance();
-  cache.clear();
-  int runs = 0;
-  const std::vector<device::TuneCandidate> cands{
-      {"counting", [&runs] { ++runs; }}};
-  const device::TuneKey key{"unit-test-kernel", 8, "serial", 1};
-
-  const device::TuneResult first = cache.tune(key, cands, 2);
-  EXPECT_FALSE(first.from_cache);
-  const int runs_after_first = runs;
-  EXPECT_GE(runs_after_first, 3);  // warmup + reps
-
-  const device::TuneResult second = cache.tune(key, cands, 2);
-  EXPECT_TRUE(second.from_cache);
-  EXPECT_EQ(second.best_index, 0u);
-  EXPECT_EQ(runs, runs_after_first);  // nothing re-timed
-  EXPECT_EQ(cache.lookup(key), "counting");
-  cache.clear();
-}
-
-TEST(TuneCache, PersistsWinnersThroughEnvFile) {
-  device::TuneCache& cache = device::TuneCache::instance();
-  const std::string path =
-      ::testing::TempDir() + "felis_tune_cache_roundtrip.txt";
-  std::remove(path.c_str());
-  ASSERT_EQ(setenv("FELIS_TUNE_CACHE", path.c_str(), 1), 0);
-  cache.clear();  // also forgets any previously loaded file
-
-  int runs = 0;
-  const std::vector<device::TuneCandidate> cands{
-      {"slow", [] {
-         volatile double s = 0;
-         for (int i = 0; i < 50000; ++i) s = s + 1.0;
-       }},
-      {"fast", [&runs] { ++runs; }}};
-  const device::TuneKey key{"roundtrip-kernel", 6, "serial", 1};
-
-  const device::TuneResult fresh = cache.tune(key, cands, 2);
-  EXPECT_FALSE(fresh.from_cache);
-  EXPECT_EQ(fresh.best_index, 1u) << "trivial candidate must beat the spin";
-
-  // A "new process": drop the in-memory table, reload from the file.
-  cache.clear();
-  const device::TuneResult reloaded = cache.tune(key, cands, 2);
-  EXPECT_TRUE(reloaded.from_cache);
-  EXPECT_EQ(reloaded.best_index, 1u);
-  EXPECT_EQ(cache.lookup(key), "fast");
-
-  // A stale winner (variant renamed away) falls through to a fresh tune.
-  cache.clear();
-  const std::vector<device::TuneCandidate> renamed{
-      {"fast-v2", [] {}}, {"other", [] {}}};
-  const device::TuneResult retuned = cache.tune(key, renamed, 1);
-  EXPECT_FALSE(retuned.from_cache);
-
-  ASSERT_EQ(unsetenv("FELIS_TUNE_CACHE"), 0);
-  cache.clear();
-  std::remove(path.c_str());
-}
-
-// ---- tuned dispatch ---------------------------------------------------------
-
-TEST(TensorDispatch, TuneFillsTableWithRegisteredVariants) {
-  const field::Space space = field::Space::make(7, true);
-  device::SerialBackend backend;
-  device::TuneCache::instance().clear();
-  const field::TensorKernels kern =
-      operators::tune_tensor_kernels(space, backend);
-  // Winners must come from the registries (any of them — timing decides),
-  // and the table must be callable with the production shapes.
-  const auto has = [](const char* name, const auto& variants) {
+TEST(TensorKernels, ForOrderPicksRegisteredVariants) {
+  // Every slot must hold a function from its registry, under that variant's
+  // name, so the bitwise sweeps above cover whatever the table selects.
+  const auto registered = [](const char* name, auto fn, const auto& variants) {
     for (const auto& v : variants)
-      if (std::string(v.name) == name) return true;
+      if (std::string(v.name) == name) return v.fn == fn;
     return false;
   };
-  EXPECT_TRUE(has(kern.axis0_name, field::axis0_variants(space.n)));
-  EXPECT_TRUE(has(kern.axis1_name, field::axis1_variants(space.n)));
-  EXPECT_TRUE(has(kern.axis2_name, field::axis2_variants(space.n)));
-  EXPECT_TRUE(has(kern.grad_name, field::grad_variants(space.n)));
-  EXPECT_TRUE(has(kern.interp_name, field::interp_variants(space.n)));
-  // Tuning the same space again is a pure cache hit: identical table.
-  const field::TensorKernels again =
-      operators::tune_tensor_kernels(space, backend);
-  EXPECT_EQ(std::string(kern.axis0_name), again.axis0_name);
-  EXPECT_EQ(std::string(kern.interp_name), again.interp_name);
-  device::TuneCache::instance().clear();
+  for (int n = 2; n <= 12; ++n) {
+    const field::TensorKernels k = field::TensorKernels::for_order(n);
+    EXPECT_TRUE(registered(k.axis0_name, k.axis0, field::axis0_variants(n)))
+        << "n=" << n << " axis0=" << k.axis0_name;
+    EXPECT_TRUE(registered(k.axis1_name, k.axis1, field::axis1_variants(n)))
+        << "n=" << n << " axis1=" << k.axis1_name;
+    EXPECT_TRUE(registered(k.axis2_name, k.axis2, field::axis2_variants(n)))
+        << "n=" << n << " axis2=" << k.axis2_name;
+    EXPECT_TRUE(registered(k.grad_name, k.grad, field::grad_variants(n)))
+        << "n=" << n << " grad=" << k.grad_name;
+    EXPECT_TRUE(registered(k.interp_name, k.interp, field::interp_variants(n)))
+        << "n=" << n << " interp3=" << k.interp_name;
+    if (n % 2 == 0 && n >= 4) {
+      // The fixed orders won axis0, axis1, grad and interp3 in every tune.
+      const std::string fixed = "fixed" + std::to_string(n);
+      EXPECT_EQ(k.axis0_name, fixed) << "n=" << n;
+      EXPECT_EQ(k.axis1_name, fixed) << "n=" << n;
+      EXPECT_EQ(k.grad_name, fixed) << "n=" << n;
+      EXPECT_EQ(k.interp_name, fixed) << "n=" << n;
+    }
+  }
+  // The benchmark workloads' fine (degree 7) and coarse (degree 1) grids.
+  const field::TensorKernels fine = field::TensorKernels::for_order(8);
+  EXPECT_EQ(fine.describe(),
+            "axis0=fixed8,axis1=fixed8,axis2=fixed8,grad=fixed8,"
+            "interp3=fixed8");
+  const field::TensorKernels coarse = field::TensorKernels::for_order(2);
+  EXPECT_EQ(coarse.axis0, &field::apply_axis0);
+  EXPECT_EQ(coarse.grad, &field::grad_ref);
+  EXPECT_EQ(coarse.interp, &field::interp3);
 }
 
-TEST(TensorDispatch, FelisTuneOffReturnsReferenceTable) {
-  ASSERT_EQ(setenv("FELIS_TUNE", "off", 1), 0);
-  const field::Space space = field::Space::make(5, true);
-  device::SerialBackend backend;
-  const field::TensorKernels kern =
-      operators::tune_tensor_kernels(space, backend);
-  EXPECT_EQ(kern.axis0, &field::apply_axis0);
-  EXPECT_EQ(kern.axis1, &field::apply_axis1);
-  EXPECT_EQ(kern.axis2, &field::apply_axis2);
-  EXPECT_EQ(kern.grad, &field::grad_ref);
-  EXPECT_EQ(kern.interp, &field::interp3);
-  ASSERT_EQ(unsetenv("FELIS_TUNE"), 0);
-}
-
-// Full 3-step RBC solve, tuned kernels vs reference kernels, bitwise: the
-// end-to-end form of the variant-identity contract. Whatever the autotuner
-// picked, the physics must not change by a single bit.
+// Full 3-step RBC solve, selected kernels vs reference kernels, bitwise: the
+// end-to-end form of the variant-identity contract. Whatever the per-order
+// table picked, the physics must not change by a single bit. Degree 7 runs
+// the fixed8 dealias shapes of the benchmark workloads.
 TEST(TensorDispatch, FullRbcSolveBitwiseTunedVsReference) {
   mesh::BoxMeshConfig cfg;
   cfg.nx = cfg.ny = cfg.nz = 3;
@@ -437,37 +362,40 @@ TEST(TensorDispatch, FullRbcSolveBitwiseTunedVsReference) {
   comm::SelfComm comm;
   device::SerialBackend backend;
 
-  operators::RankSetup tuned =
-      operators::make_rank_setup(mesh, 5, comm, true, true, &backend);
-  operators::RankSetup tuned_coarse =
-      precon::make_coarse_setup(mesh, comm, &backend);
-  operators::RankSetup plain =
-      operators::make_rank_setup(mesh, 5, comm, true, true, &backend);
-  operators::RankSetup plain_coarse =
-      precon::make_coarse_setup(mesh, comm, &backend);
-  plain.kernels = field::TensorKernels::reference();
-  plain_coarse.kernels = field::TensorKernels::reference();
+  for (const int degree : {5, 7}) {
+    SCOPED_TRACE("degree " + std::to_string(degree));
+    operators::RankSetup tuned =
+        operators::make_rank_setup(mesh, degree, comm, true, true, &backend);
+    operators::RankSetup tuned_coarse =
+        precon::make_coarse_setup(mesh, comm, &backend);
+    operators::RankSetup plain =
+        operators::make_rank_setup(mesh, degree, comm, true, true, &backend);
+    operators::RankSetup plain_coarse =
+        precon::make_coarse_setup(mesh, comm, &backend);
+    plain.kernels = field::TensorKernels::reference();
+    plain_coarse.kernels = field::TensorKernels::reference();
 
-  rbc::RbcConfig config;
-  config.rayleigh = 1e4;
-  config.dt = 2e-2;
-  config.perturbation_lx = config.perturbation_ly = 2.0;
-  config.flow.velocity_walls = {mesh::FaceTag::kBottom, mesh::FaceTag::kTop};
-  rbc::RbcSimulation sim_t(tuned.ctx(), tuned_coarse.ctx(), config);
-  rbc::RbcSimulation sim_r(plain.ctx(), plain_coarse.ctx(), config);
-  sim_t.set_initial_conditions();
-  sim_r.set_initial_conditions();
-  for (int s = 0; s < 3; ++s) {
-    const fluid::StepInfo it = sim_t.step();
-    const fluid::StepInfo ir = sim_r.step();
-    EXPECT_EQ(it.cfl, ir.cfl) << "step " << s;
-    EXPECT_EQ(it.divergence, ir.divergence) << "step " << s;
+    rbc::RbcConfig config;
+    config.rayleigh = 1e4;
+    config.dt = 2e-2;
+    config.perturbation_lx = config.perturbation_ly = 2.0;
+    config.flow.velocity_walls = {mesh::FaceTag::kBottom, mesh::FaceTag::kTop};
+    rbc::RbcSimulation sim_t(tuned.ctx(), tuned_coarse.ctx(), config);
+    rbc::RbcSimulation sim_r(plain.ctx(), plain_coarse.ctx(), config);
+    sim_t.set_initial_conditions();
+    sim_r.set_initial_conditions();
+    for (int s = 0; s < 3; ++s) {
+      const fluid::StepInfo it = sim_t.step();
+      const fluid::StepInfo ir = sim_r.step();
+      EXPECT_EQ(it.cfl, ir.cfl) << "step " << s;
+      EXPECT_EQ(it.divergence, ir.divergence) << "step " << s;
+    }
+    expect_bitwise(sim_t.solver().temperature(), sim_r.solver().temperature(),
+                   "temperature");
+    expect_bitwise(sim_t.solver().u(), sim_r.solver().u(), "u");
+    expect_bitwise(sim_t.solver().v(), sim_r.solver().v(), "v");
+    expect_bitwise(sim_t.solver().w(), sim_r.solver().w(), "w");
   }
-  expect_bitwise(sim_t.solver().temperature(), sim_r.solver().temperature(),
-                 "temperature");
-  expect_bitwise(sim_t.solver().u(), sim_r.solver().u(), "u");
-  expect_bitwise(sim_t.solver().v(), sim_r.solver().v(), "v");
-  expect_bitwise(sim_t.solver().w(), sim_r.solver().w(), "w");
 }
 
 }  // namespace

@@ -45,8 +45,8 @@ Rules
                       off the shared telemetry epoch and never reaches the
                       merged trace; time regions with Profiler and ad-hoc
                       durations with telemetry::Stopwatch. Exempt: the clock
-                      owners themselves (common/profiler, device/stream,
-                      device/autotune and src/telemetry/).
+                      owners themselves (common/profiler, device/stream and
+                      src/telemetry/).
   case-registry       Scenario plugins are private to src/case/: outside it
                       (src/ and examples/), no file may include a plugin
                       header (case/rbc.hpp, case/ihc.hpp, ...) or name a
@@ -82,7 +82,7 @@ Rules
   raw-tensor-call     Library code outside src/field/ must not call the
                       tensor-product kernels (apply_axis0/1/2, grad_ref,
                       interp3) directly: direct calls pin the scalar reference
-                      and silently bypass the autotuned variant selection.
+                      and silently bypass the per-order kernel table.
                       Dispatch through the operators::Context kernel table
                       (ctx.kern().axis0(...) etc.) or a field::TensorKernels
                       member. tests/ and bench/ are exempt by design: they
@@ -95,6 +95,13 @@ Rules
                       like the scalar reference; a fused multiply-add breaks
                       the bitwise invariants (tuned ≡ reference, serial ≡
                       OpenMP, restart).
+  raw-getenv          Library code (src/) must not read environment variables
+                      except in the two sanctioned switches: the backend
+                      choice (device/backend.cpp: FELIS_BACKEND,
+                      OMP_NUM_THREADS) and fault injection
+                      (io/fault_injector.cpp: FELIS_FAULT_INJECT). Runs are
+                      configured by their case parameters; a new or revived
+                      environment switch is an unreviewed second way in.
 
 Usage
 -----
@@ -139,15 +146,13 @@ RENAME_FSYNC_EXEMPT = {
     os.path.join("src", "io", "durable_append.cpp"),
 }
 # Sanctioned clock owners: the profiler (region timing), the stream trace
-# recorder and autotuner (device-side timing), and the telemetry layer that
-# provides the shared epoch everyone else must inherit.
+# recorder (device-side timing), and the telemetry layer that provides the
+# shared epoch everyone else must inherit.
 CLOCK_EXEMPT = {
     os.path.join("src", "common", "profiler.hpp"),
     os.path.join("src", "common", "profiler.cpp"),
     os.path.join("src", "device", "stream.hpp"),
     os.path.join("src", "device", "stream.cpp"),
-    os.path.join("src", "device", "autotune.hpp"),
-    os.path.join("src", "device", "autotune.cpp"),
 }
 CLOCK_EXEMPT_DIRS = (os.path.join("src", "telemetry"),)
 # Sanctioned thread owners: the device backends (worker pools), the
@@ -183,6 +188,11 @@ SPOOL_CONFINE_EXEMPT_PREFIX = "src/svc/"
 # apply_axis* / grad_ref / interp3 directly (definitions, variants, and the
 # TensorKernels defaults live there).
 TENSOR_CALL_EXEMPT_PREFIX = "src/field/"
+# The only library files allowed to read environment variables.
+GETENV_EXEMPT = {
+    os.path.join("src", "device", "backend.cpp"),
+    os.path.join("src", "io", "fault_injector.cpp"),
+}
 
 RAW_ABORT_RE = re.compile(r"(?<![\w.])(assert|abort|exit)\s*\(")
 STDOUT_RE = re.compile(r"std::cout|std::cerr|(?<![\w.])(printf|fprintf|puts)\s*\(")
@@ -237,6 +247,10 @@ SPOOL_LITERAL_RE = re.compile(
 # table dispatches (kern.axis0(...)) or address-of uses (&apply_axis0).
 RAW_TENSOR_CALL_RE = re.compile(
     r"(?<!&)\b(?:field\s*::\s*)?(apply_axis[012]|grad_ref|interp3)\s*\(")
+
+# An environment read in any spelling: std::getenv, ::getenv or bare getenv.
+# Longer names (secure_getenv, my_getenv) and member calls do not match.
+RAW_GETENV_RE = re.compile(r"(?<![\w.])(?:std\s*::\s*|::\s*)?getenv\s*\(")
 
 # Build flags that let the compiler change floating-point results: value-
 # unsafe optimisation levels and any contraction into fused multiply-adds.
@@ -643,9 +657,27 @@ def check_raw_tensor_call(root):
                 out.append(Violation(
                     relpath, lineno, "raw-tensor-call",
                     f"direct {m.group(1)}() call outside src/field/ bypasses "
-                    "the autotuned kernel selection; dispatch through "
+                    "the per-order kernel table; dispatch through "
                     "ctx.kern() (operators::Context) or a "
                     "field::TensorKernels table"))
+    return out
+
+
+def check_raw_getenv(root):
+    out = []
+    exempt = {p.replace(os.sep, "/") for p in GETENV_EXEMPT}
+    for path in iter_files(root, (LIBRARY_DIR,), {".hpp", ".cpp"}):
+        relpath = rel(root, path)
+        if relpath in exempt:
+            continue
+        code = strip_comments_and_strings(open(path, encoding="utf-8").read())
+        for lineno, line in enumerate(code.splitlines(), 1):
+            if RAW_GETENV_RE.search(line):
+                out.append(Violation(
+                    relpath, lineno, "raw-getenv",
+                    "environment read in library code; configure runs "
+                    "through case parameters (only device/backend.cpp and "
+                    "io/fault_injector.cpp may read the environment)"))
     return out
 
 
@@ -689,6 +721,7 @@ ALL_CHECKS = [
     check_raw_ndjson_read,
     check_spool_confinement,
     check_raw_tensor_call,
+    check_raw_getenv,
     check_fp_flags,
 ]
 
@@ -877,6 +910,14 @@ SEEDED = {
         "  kern.axis0(op, u, o, n, n);\n"
         "  field::apply_axis0_simd(op, u, o, n, n);\n"
         "  auto* fn = &field::apply_axis0;\n  (void)fn;\n}\n"),
+    "src/operators/env_switch.cpp": (
+        "raw-getenv",
+        "#include <cstdlib>\nbool off() {\n"
+        '  return std::getenv("FELIS_FAST_PATH") != nullptr;\n}\n'),
+    "src/device/backend.cpp": (
+        None,  # the backend switch is a sanctioned environment reader
+        "#include <cstdlib>\nconst char* b() {\n"
+        '  return std::getenv("FELIS_BACKEND");\n}\n'),
     "src/CMakeLists.txt": (
         "fp-flags",
         "# -ffp-contract=fast in a comment is fine\n"
