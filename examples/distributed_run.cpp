@@ -17,6 +17,7 @@
 #include <string>
 
 #include "case/registry.hpp"
+#include "device/backend.hpp"
 #include "precon/coarse.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -43,9 +44,16 @@ int main(int argc, char** argv) {
               info.type.c_str(), nranks, geo.mesh.num_elements());
   std::mutex print_mutex;
 
+  // The device backend comes from the `device.backend` key (or FELIS_BACKEND
+  // env, or auto-detect); every rank shares it and its header names it.
+  device::Backend& backend = device::select_backend(params);
+
   comm::run_parallel(nranks, [&](comm::Communicator& comm) {
-    auto fine = operators::make_rank_setup(geo.mesh, geo.degree, comm, true);
-    auto coarse = precon::make_coarse_setup(geo.mesh, comm);
+    auto fine = operators::make_rank_setup(geo.mesh, geo.degree, comm,
+                                           /*dealias=*/true,
+                                           /*three_halves_rule=*/true,
+                                           &backend);
+    auto coarse = precon::make_coarse_setup(geo.mesh, comm, &backend);
 
     // Per-rank telemetry channel: rank r writes <dir>/rank<r>/run.ndjson and
     // its own trace. The rank/size metadata keys disambiguate the channels
@@ -60,7 +68,8 @@ int main(int argc, char** argv) {
           std::map<std::string, std::string>{
               {"program", "distributed_run"},
               {"type", info.type},
-              {"backend", "serial"},
+              {"backend", backend.name()},
+              {"kernels", fine.kernels.describe()},
               {"threads", std::to_string(nranks)},
               {"degree", std::to_string(geo.degree)},
               {"rank", std::to_string(comm.rank())},

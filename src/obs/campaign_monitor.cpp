@@ -2,48 +2,17 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <stdexcept>
+#include <optional>
+#include <string_view>
 #include <utility>
+
+#include "io/record.hpp"
 
 namespace felis::obs {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-/// Scan `line` for every `"<prefix><leaf>":<number>` pair and fold it into
-/// `out`. Non-numeric values (nested histogram objects) are skipped; a line
-/// torn mid-number ends the scan. The journals are writer-controlled flat
-/// encodings, so a positional scan is exact — this is one of the two
-/// sanctioned NDJSON parsing sites (felis_lint rule raw-ndjson-read).
-void extract_prefixed_numbers(const std::string& line, const std::string& prefix,
-                              std::map<std::string, double>* out) {
-  const std::string needle = "\"" + prefix;
-  usize pos = 0;
-  while ((pos = line.find(needle, pos)) != std::string::npos) {
-    const usize key_begin = pos + 1;
-    const usize key_end = line.find('"', key_begin);
-    if (key_end == std::string::npos) return;
-    if (key_end + 1 >= line.size() || line[key_end + 1] != ':') {
-      pos = key_end + 1;
-      continue;
-    }
-    const usize val_begin = key_end + 2;
-    if (val_begin >= line.size()) return;
-    if (line[val_begin] == '{') {  // histogram object: not a flat number
-      pos = val_begin;
-      continue;
-    }
-    try {
-      usize used = 0;
-      const double v = std::stod(line.substr(val_begin), &used);
-      (*out)[line.substr(key_begin, key_end - key_begin)] = v;
-      pos = val_begin + used;
-    } catch (const std::logic_error&) {
-      return;  // torn mid-number
-    }
-  }
-}
 
 double clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
 
@@ -86,36 +55,33 @@ std::string CampaignMonitor::telemetry_stream_path(
 }
 
 void CampaignMonitor::apply_manifest(const std::string& line) {
+  // Lines the codec rejects (a torn tail) change nothing, in the fold too.
+  const std::optional<io::Record> rec = io::parse_record(line);
+  if (!rec) return;
   // The production fold first: the monitor's per-case states ARE the resume
   // protocol's, bitwise (this may throw ManifestReplayError, like resume).
-  sched::apply_manifest_line(manifest_, line);
+  sched::apply_manifest_line(manifest_, *rec);
 
-  // Then the monitor-only fields (header, declarations, timings). Same torn
-  // guard as the fold: only trust a line that closes its object.
-  if (line.empty() || line.back() != '}') return;
-  bool has_type = false;
-  const std::string type = sched::extract_json_string(line, "type", &has_type);
-  if (!has_type) return;
+  // Then the monitor-only fields (header, declarations, timings).
+  const std::string type(rec->string("type").value_or(""));
+  const auto integer = [&rec](const char* key) {
+    return static_cast<int>(rec->integer(key).value_or(0));
+  };
   if (type == "header") {
-    campaign_ = sched::extract_json_string(line, "campaign");
-    workers_ = static_cast<int>(sched::extract_json_number(line, "workers"));
-    thread_budget_ =
-        static_cast<int>(sched::extract_json_number(line, "thread_budget"));
-    ranks_ = static_cast<int>(sched::extract_json_number(line, "ranks"));
+    campaign_ = rec->string("campaign").value_or("");
+    workers_ = integer("workers");
+    thread_budget_ = integer("thread_budget");
+    ranks_ = integer("ranks");
   } else if (type == "case") {
-    bool ok = false;
-    const std::string id = sched::extract_json_string(line, "case", &ok);
-    if (!ok) return;
+    const std::optional<std::string_view> case_id = rec->string("case");
+    if (!case_id) return;
+    const std::string id(*case_id);
     CaseDecl decl;
-    decl.threads = static_cast<int>(sched::extract_json_number(line, "threads"));
-    decl.steps =
-        static_cast<std::int64_t>(sched::extract_json_number(line, "steps"));
-    decl.cost_seconds = sched::extract_json_number(line, "cost_seconds");
-    bool has_tenant = false;
-    const std::string tenant =
-        sched::extract_json_string(line, "tenant", &has_tenant);
-    if (has_tenant) decl.tenant = tenant;
-    decl.priority = static_cast<int>(sched::extract_json_number(line, "priority"));
+    decl.threads = integer("threads");
+    decl.steps = rec->integer("steps").value_or(0);
+    decl.cost_seconds = rec->number("cost_seconds").value_or(0);
+    if (const auto tenant = rec->string("tenant")) decl.tenant = *tenant;
+    decl.priority = integer("priority");
     if (decls_.find(id) == decls_.end()) case_order_.push_back(id);
     decls_[id] = decl;
   } else if (type == "resume") {
@@ -124,16 +90,14 @@ void CampaignMonitor::apply_manifest(const std::string& line) {
     // monitor's clock stays monotone across sessions.
     clock_offset_ = clock_high_water_;
   } else if (type == "run") {
-    bool ok = false;
-    const std::string id = sched::extract_json_string(line, "case", &ok);
-    if (!ok) return;
-    const std::string state = sched::extract_json_string(line, "state", &ok);
-    if (!ok) return;
-    const int attempt =
-        static_cast<int>(sched::extract_json_number(line, "attempt"));
-    const double t_abs =
-        sched::extract_json_number(line, "t") + clock_offset_;
-    const double wall = sched::extract_json_number(line, "wall_seconds");
+    const std::optional<std::string_view> case_id = rec->string("case");
+    const std::optional<std::string_view> run_state = rec->string("state");
+    if (!case_id || !run_state) return;
+    const std::string id(*case_id);
+    const std::string state(*run_state);
+    const int attempt = integer("attempt");
+    const double t_abs = rec->number("t").value_or(0) + clock_offset_;
+    const double wall = rec->number("wall_seconds").value_or(0);
     note_clock(t_abs);
     if (decls_.find(id) == decls_.end() &&
         timing_.find(id) == timing_.end()) {
@@ -156,40 +120,40 @@ void CampaignMonitor::apply_manifest(const std::string& line) {
 
 void CampaignMonitor::apply_case_stream(CaseLive& live,
                                         const std::string& line) {
-  bool ok = false;
-  const std::string type = sched::extract_json_string(line, "type", &ok);
-  if (!ok || type != "step") return;
-  bool has_step = false;
-  const auto step = static_cast<std::int64_t>(
-      sched::extract_json_number(line, "step", &has_step));
-  if (!has_step) return;
+  const std::optional<io::Record> rec = io::parse_record(line);
+  if (!rec || rec->string("type") != "step") return;
+  const std::optional<std::int64_t> step = rec->integer("step");
+  if (!step) return;
   live.found = true;
-  live.step = std::max(live.step, step);
-  live.sim_time = sched::extract_json_number(line, "time");
-  live.wall_seconds = sched::extract_json_number(line, "wall_seconds");
-  live.cfl = sched::extract_json_number(line, "solver.cfl");
-  live.nusselt = sched::extract_json_number(line, "case.nu_volume");
-  live.pressure_residual =
-      sched::extract_json_number(line, "solver.pressure_residual");
-  live.pressure_iterations =
-      sched::extract_json_number(line, "solver.pressure_iterations");
-  extract_prefixed_numbers(line, "health.flags.", &live.health_flags);
+  live.step = std::max(live.step, *step);
+  live.sim_time = rec->number("time").value_or(0);
+  live.wall_seconds = rec->number("wall_seconds").value_or(0);
+  const io::Map* metrics = rec->map("metrics");
+  const auto metric = [metrics](const char* key) {
+    return metrics ? io::map_number(*metrics, key).value_or(0) : 0.0;
+  };
+  live.cfl = metric("solver.cfl");
+  live.nusselt = metric("case.nu_volume");
+  live.pressure_residual = metric("solver.pressure_residual");
+  live.pressure_iterations = metric("solver.pressure_iterations");
+  if (metrics) io::fold_numbers(*metrics, "health.flags.", &live.health_flags);
   if (live.marks.size() < options_.max_step_marks)
-    live.marks.push_back({step, live.wall_seconds});
+    live.marks.push_back({*step, live.wall_seconds});
 }
 
 void CampaignMonitor::apply_sched_stream(const std::string& line) {
-  bool ok = false;
-  const std::string type = sched::extract_json_string(line, "type", &ok);
-  if (!ok) return;
+  const std::optional<io::Record> rec = io::parse_record(line);
+  if (!rec) return;
+  const std::optional<std::string_view> type = rec->string("type");
   if (type == "header") {
     // A new scheduler session opened the stream: its t restarts at 0.
     sched_session_offset_ = clock_high_water_;
     return;
   }
   if (type != "sched") return;
-  note_clock(sched::extract_json_number(line, "t") + sched_session_offset_);
-  extract_prefixed_numbers(line, "sched.", &sched_latest_);
+  note_clock(rec->number("t").value_or(0) + sched_session_offset_);
+  if (const io::Map* metrics = rec->map("metrics"))
+    io::fold_numbers(*metrics, "sched.", &sched_latest_);
 }
 
 usize CampaignMonitor::poll_case_streams() {

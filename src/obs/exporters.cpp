@@ -1,27 +1,19 @@
 #include "obs/exporters.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <sstream>
 
 #include "io/atomic_file.hpp"
-#include "telemetry/chrome_trace.hpp"
+#include "io/record.hpp"
 
 namespace felis::obs {
 
 namespace {
 
-std::string num(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
 std::string quoted(const std::string& s) {
-  return "\"" + telemetry::json_escape(s) + "\"";
+  return "\"" + io::escape(s) + "\"";
 }
 
 void emit_flat_map(std::ostringstream& os,
@@ -31,7 +23,7 @@ void emit_flat_map(std::ostringstream& os,
   for (const auto& [key, value] : m) {
     if (!first) os << ',';
     first = false;
-    os << quoted(key) << ':' << num(value);
+    os << quoted(key) << ':' << io::format_number(value);
   }
   os << '}';
 }
@@ -77,7 +69,8 @@ std::string status_json(const CampaignSnapshot& snap) {
   os << "  \"thread_budget\": " << snap.thread_budget << ",\n";
   os << "  \"ranks\": " << snap.ranks << ",\n";
   os << "  \"resumes\": " << snap.resumes << ",\n";
-  os << "  \"clock_seconds\": " << num(snap.clock_seconds) << ",\n";
+  os << "  \"clock_seconds\": " << io::format_number(snap.clock_seconds)
+     << ",\n";
   os << "  \"counts\": {\"declared\": " << snap.declared
      << ", \"queued\": " << snap.queued << ", \"running\": " << snap.running
      << ", \"done\": " << snap.done << ", \"failed\": " << snap.failed
@@ -89,13 +82,15 @@ std::string status_json(const CampaignSnapshot& snap) {
      << ", \"deferred\": " << snap.submissions_deferred
      << ", \"preemptions\": " << snap.preempt_transitions << "},\n";
   os << "  \"progress\": {\"total_cost_seconds\": "
-     << num(snap.total_cost_seconds)
-     << ", \"done_cost_seconds\": " << num(snap.done_cost_seconds)
-     << ", \"progressed_cost_seconds\": " << num(snap.progressed_cost_seconds)
-     << ", \"completed_fraction\": " << num(snap.completed_fraction)
-     << ", \"cost_rate\": " << num(snap.cost_rate)
-     << ", \"eta_seconds\": " << num(snap.eta_seconds) << "},\n";
-  os << "  \"health\": {\"anomalies\": " << num(snap.anomalies)
+     << io::format_number(snap.total_cost_seconds)
+     << ", \"done_cost_seconds\": " << io::format_number(snap.done_cost_seconds)
+     << ", \"progressed_cost_seconds\": "
+     << io::format_number(snap.progressed_cost_seconds)
+     << ", \"completed_fraction\": "
+     << io::format_number(snap.completed_fraction)
+     << ", \"cost_rate\": " << io::format_number(snap.cost_rate)
+     << ", \"eta_seconds\": " << io::format_number(snap.eta_seconds) << "},\n";
+  os << "  \"health\": {\"anomalies\": " << io::format_number(snap.anomalies)
      << ", \"flags\": ";
   emit_flat_map(os, snap.health_flags);
   os << "},\n";
@@ -115,19 +110,21 @@ std::string status_json(const CampaignSnapshot& snap) {
        << ", \"priority\": " << v.priority
        << ", \"threads\": " << v.threads
        << ", \"steps_planned\": " << v.steps_planned
-       << ", \"step\": " << v.step << ", \"time\": " << num(v.sim_time)
-       << ", \"progress\": " << num(v.progress)
-       << ", \"cost_seconds\": " << num(v.cost_seconds)
-       << ", \"wall_seconds\": " << num(v.wall_seconds)
-       << ", \"queued_t\": " << num(v.queued_t)
-       << ", \"running_t\": " << num(v.running_t)
-       << ", \"finished_t\": " << num(v.finished_t)
+       << ", \"step\": " << v.step
+       << ", \"time\": " << io::format_number(v.sim_time)
+       << ", \"progress\": " << io::format_number(v.progress)
+       << ", \"cost_seconds\": " << io::format_number(v.cost_seconds)
+       << ", \"wall_seconds\": " << io::format_number(v.wall_seconds)
+       << ", \"queued_t\": " << io::format_number(v.queued_t)
+       << ", \"running_t\": " << io::format_number(v.running_t)
+       << ", \"finished_t\": " << io::format_number(v.finished_t)
        << ", \"telemetry_found\": " << (v.telemetry_found ? "true" : "false")
-       << ", \"nu_volume\": " << num(v.nusselt)
-       << ", \"cfl\": " << num(v.cfl)
-       << ", \"pressure_residual\": " << num(v.pressure_residual)
-       << ", \"pressure_iterations\": " << num(v.pressure_iterations)
-       << ", \"slowdown\": " << num(v.slowdown)
+       << ", \"nu_volume\": " << io::format_number(v.nusselt)
+       << ", \"cfl\": " << io::format_number(v.cfl)
+       << ", \"pressure_residual\": " << io::format_number(v.pressure_residual)
+       << ", \"pressure_iterations\": "
+       << io::format_number(v.pressure_iterations)
+       << ", \"slowdown\": " << io::format_number(v.slowdown)
        << ", \"straggler\": " << (v.straggler ? "true" : "false")
        << ", \"health_flags\": ";
     emit_flat_map(os, v.health_flags);
@@ -172,20 +169,25 @@ std::string status_prometheus(const CampaignSnapshot& snap) {
   os << "# TYPE felis_campaign_resumes_total counter\n"
      << "felis_campaign_resumes_total " << snap.resumes << "\n";
   os << "# TYPE felis_campaign_clock_seconds gauge\n"
-     << "felis_campaign_clock_seconds " << num(snap.clock_seconds) << "\n";
+     << "felis_campaign_clock_seconds "
+     << io::format_number(snap.clock_seconds) << "\n";
   os << "# HELP felis_campaign_completed_fraction Cost-weighted campaign "
         "progress in [0,1].\n"
      << "# TYPE felis_campaign_completed_fraction gauge\n"
-     << "felis_campaign_completed_fraction " << num(snap.completed_fraction)
+     << "felis_campaign_completed_fraction "
+     << io::format_number(snap.completed_fraction)
      << "\n";
   os << "# TYPE felis_campaign_cost_rate gauge\n"
-     << "felis_campaign_cost_rate " << num(snap.cost_rate) << "\n";
+     << "felis_campaign_cost_rate " << io::format_number(snap.cost_rate)
+     << "\n";
   os << "# HELP felis_campaign_eta_seconds Perfmodel-costed time to "
         "completion (-1 = unknown).\n"
      << "# TYPE felis_campaign_eta_seconds gauge\n"
-     << "felis_campaign_eta_seconds " << num(snap.eta_seconds) << "\n";
+     << "felis_campaign_eta_seconds " << io::format_number(snap.eta_seconds)
+     << "\n";
   os << "# TYPE felis_campaign_anomalies_total counter\n"
-     << "felis_campaign_anomalies_total " << num(snap.anomalies) << "\n";
+     << "felis_campaign_anomalies_total "
+     << io::format_number(snap.anomalies) << "\n";
   os << "# HELP felis_campaign_health_flags Anomaly detections by class "
         "(summed over cases).\n"
      << "# TYPE felis_campaign_health_flags counter\n";
@@ -195,12 +197,12 @@ std::string status_prometheus(const CampaignSnapshot& snap) {
                                  ? flag.substr(std::string(kPrefix).size())
                                  : flag;
     os << "felis_campaign_health_flags{class=\"" << prom_label(leaf) << "\"} "
-       << num(n) << "\n";
+       << io::format_number(n) << "\n";
   }
   os << "# TYPE felis_campaign_case_progress gauge\n";
   for (const CaseView& v : snap.cases)
     os << "felis_campaign_case_progress{case=\"" << prom_label(v.id) << "\"} "
-       << num(v.progress) << "\n";
+       << io::format_number(v.progress) << "\n";
   os << "# TYPE felis_campaign_case_step gauge\n";
   for (const CaseView& v : snap.cases)
     os << "felis_campaign_case_step{case=\"" << prom_label(v.id) << "\"} "
@@ -217,7 +219,7 @@ std::string status_prometheus(const CampaignSnapshot& snap) {
        << "\"} " << (v.straggler ? 1 : 0) << "\n";
   for (const auto& [key, value] : snap.sched) {
     os << "# TYPE felis_" << prom_name(key) << " gauge\n"
-       << "felis_" << prom_name(key) << " " << num(value) << "\n";
+       << "felis_" << prom_name(key) << " " << io::format_number(value) << "\n";
   }
   return os.str();
 }
@@ -322,7 +324,7 @@ std::string campaign_trace_json(const CampaignMonitor& monitor) {
      << R"(,"cases":")" << snap.cases.size() << R"(","workers":")"
      << snap.workers << R"(","thread_budget":")" << snap.thread_budget
      << R"(","resumes":")" << snap.resumes << R"(","clock_seconds":")"
-     << num(snap.clock_seconds) << "\"}}\n";
+     << io::format_number(snap.clock_seconds) << "\"}}\n";
   return os.str();
 }
 

@@ -17,6 +17,7 @@
 #include "fluid/checkpoint_manager.hpp"
 #include "io/atomic_file.hpp"
 #include "io/fault_injector.hpp"
+#include "io/record.hpp"
 #include "sched/manifest.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -247,16 +248,11 @@ void write_nu_ra_csv(const CampaignSpec& spec, const CampaignReport& report,
 
 void write_bench_json(const CampaignSpec& spec, const CampaignReport& report,
                       const std::string& path) {
-  const auto number = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return std::string(buf);
-  };
   io::AtomicFileWriter writer(path);
   writer.stream()
       << "{\n"
       << "  \"bench\": \"campaign\",\n"
-      << "  \"campaign\": \"" << telemetry::json_escape(spec.config.name)
+      << "  \"campaign\": \"" << io::escape(spec.config.name)
       << "\",\n"
       << "  \"cases\": " << report.outcomes.size() << ",\n"
       << "  \"completed\": " << report.completed << ",\n"
@@ -268,11 +264,14 @@ void write_bench_json(const CampaignSpec& spec, const CampaignReport& report,
       << "  \"thread_budget\": " << report.thread_budget << ",\n"
       << "  \"max_threads_in_flight\": " << report.max_threads_in_flight
       << ",\n"
-      << "  \"wall_seconds\": " << number(report.wall_seconds) << ",\n"
-      << "  \"busy_thread_seconds\": " << number(report.busy_thread_seconds)
+      << "  \"wall_seconds\": " << io::format_number(report.wall_seconds)
       << ",\n"
-      << "  \"worker_utilisation\": " << number(report.utilisation()) << ",\n"
-      << "  \"cases_per_hour\": " << number(report.cases_per_hour()) << "\n"
+      << "  \"busy_thread_seconds\": "
+      << io::format_number(report.busy_thread_seconds) << ",\n"
+      << "  \"worker_utilisation\": "
+      << io::format_number(report.utilisation()) << ",\n"
+      << "  \"cases_per_hour\": " << io::format_number(report.cases_per_hour())
+      << "\n"
       << "}\n";
   writer.commit();
 }

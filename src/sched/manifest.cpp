@@ -1,67 +1,51 @@
 #include "sched/manifest.hpp"
 
-#include <cmath>
-#include <cstdio>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "io/durable_append.hpp"
+#include "io/record.hpp"
 #include "sched/campaign.hpp"
-#include "telemetry/chrome_trace.hpp"
 
 namespace felis::sched {
 
 namespace {
 
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-bool is_terminal(const std::string& state) {
+bool is_terminal(std::string_view state) {
   return state == "done" || state == "failed";
 }
 
 }  // namespace
 
 std::string format_header_record(const CampaignSpec& spec) {
-  std::ostringstream os;
-  os << R"({"type":"header","schema":")" << kManifestSchema
-     << R"(","campaign":")" << telemetry::json_escape(spec.config.name)
-     << R"(","cases":)" << spec.cases.size()
-     << R"(,"workers":)" << spec.config.workers
-     << R"(,"thread_budget":)" << spec.config.thread_budget
-     << R"(,"ranks":)" << spec.config.ranks << "}";
-  return os.str();
+  return io::Record()
+      .add("type", "header")
+      .add("schema", kManifestSchema)
+      .add("campaign", spec.config.name)
+      .add("cases", static_cast<std::int64_t>(spec.cases.size()))
+      .add("workers", spec.config.workers)
+      .add("thread_budget", spec.config.thread_budget)
+      .add("ranks", spec.config.ranks)
+      .str();
 }
 
 std::string format_case_record(const CaseSpec& spec) {
-  std::ostringstream os;
-  os << R"({"type":"case","case":")" << telemetry::json_escape(spec.id)
-     << R"(","threads":)" << spec.threads << R"(,"steps":)" << spec.steps
-     << R"(,"cost_seconds":)" << json_number(spec.cost_seconds)
-     << R"(,"tenant":")" << telemetry::json_escape(spec.tenant)
-     << R"(","priority":)" << spec.priority
-     << R"(,"overrides":{)";
-  bool first = true;
-  for (const auto& [key, value] : spec.overrides) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << telemetry::json_escape(key) << R"(":")"
-       << telemetry::json_escape(value) << '"';
-  }
-  os << "}}";
-  return os.str();
+  return io::Record()
+      .add("type", "case")
+      .add("case", spec.id)
+      .add("threads", spec.threads)
+      .add("steps", spec.steps)
+      .add("cost_seconds", spec.cost_seconds)
+      .add("tenant", spec.tenant)
+      .add("priority", spec.priority)
+      .add("overrides", io::Map(spec.overrides.begin(), spec.overrides.end()))
+      .str();
 }
 
 std::string format_resume_record(int pending) {
-  std::ostringstream os;
-  os << R"({"type":"resume","pending":)" << pending << "}";
-  return os.str();
+  return io::Record().add("type", "resume").add("pending", pending).str();
 }
 
 std::string format_run_record(const std::string& case_id,
@@ -69,25 +53,17 @@ std::string format_run_record(const std::string& case_id,
                               double campaign_seconds, double wall_seconds,
                               const std::string& detail,
                               const std::map<std::string, double>& metrics) {
-  std::ostringstream os;
-  os << R"({"type":"run","case":")" << telemetry::json_escape(case_id)
-     << R"(","state":")" << state << R"(","attempt":)" << attempt
-     << R"(,"t":)" << json_number(campaign_seconds) << R"(,"wall_seconds":)"
-     << json_number(wall_seconds);
-  if (!detail.empty())
-    os << R"(,"detail":")" << telemetry::json_escape(detail) << '"';
-  if (!metrics.empty()) {
-    os << R"(,"metrics":{)";
-    bool first = true;
-    for (const auto& [key, value] : metrics) {
-      if (!first) os << ',';
-      first = false;
-      os << '"' << telemetry::json_escape(key) << R"(":)" << json_number(value);
-    }
-    os << '}';
-  }
-  os << '}';
-  return os.str();
+  io::Record rec;
+  rec.add("type", "run")
+      .add("case", case_id)
+      .add("state", state)
+      .add("attempt", attempt)
+      .add("t", campaign_seconds)
+      .add("wall_seconds", wall_seconds);
+  if (!detail.empty()) rec.add("detail", detail);
+  if (!metrics.empty())
+    rec.add("metrics", io::Map(metrics.begin(), metrics.end()));
+  return rec.str();
 }
 
 std::string format_submit_record(const std::string& submission_id,
@@ -95,17 +71,17 @@ std::string format_submit_record(const std::string& submission_id,
                                  const std::string& decision,
                                  const std::string& reason, int cases,
                                  double cost_seconds, double campaign_seconds) {
-  std::ostringstream os;
-  os << R"({"type":"submit","submission":")"
-     << telemetry::json_escape(submission_id) << R"(","tenant":")"
-     << telemetry::json_escape(tenant) << R"(","priority":)" << priority
-     << R"(,"decision":")" << decision << '"';
-  if (!reason.empty())
-    os << R"(,"reason":")" << telemetry::json_escape(reason) << '"';
-  os << R"(,"cases":)" << cases << R"(,"cost_seconds":)"
-     << json_number(cost_seconds) << R"(,"t":)"
-     << json_number(campaign_seconds) << '}';
-  return os.str();
+  io::Record rec;
+  rec.add("type", "submit")
+      .add("submission", submission_id)
+      .add("tenant", tenant)
+      .add("priority", priority)
+      .add("decision", decision);
+  if (!reason.empty()) rec.add("reason", reason);
+  rec.add("cases", cases)
+      .add("cost_seconds", cost_seconds)
+      .add("t", campaign_seconds);
+  return rec.str();
 }
 
 ManifestWriter::ManifestWriter(const std::string& path) {
@@ -116,32 +92,29 @@ ManifestWriter::ManifestWriter(const std::string& path) {
 
 ManifestWriter::~ManifestWriter() = default;
 
-void ManifestWriter::write_header(const CampaignSpec& spec) {
-  const std::string line = format_header_record(spec);
+void ManifestWriter::append(const std::string& line) {
   std::lock_guard<std::mutex> lock(mutex_);
   out_->append(line);
+}
+
+void ManifestWriter::write_header(const CampaignSpec& spec) {
+  append(format_header_record(spec));
 }
 
 void ManifestWriter::write_case(const CaseSpec& spec) {
-  const std::string line = format_case_record(spec);
-  std::lock_guard<std::mutex> lock(mutex_);
-  out_->append(line);
+  append(format_case_record(spec));
 }
 
 void ManifestWriter::write_resume(int pending) {
-  const std::string line = format_resume_record(pending);
-  std::lock_guard<std::mutex> lock(mutex_);
-  out_->append(line);
+  append(format_resume_record(pending));
 }
 
 void ManifestWriter::write_transition(
     const std::string& case_id, const std::string& state, int attempt,
     double campaign_seconds, double wall_seconds, const std::string& detail,
     const std::map<std::string, double>& metrics) {
-  const std::string line = format_run_record(
-      case_id, state, attempt, campaign_seconds, wall_seconds, detail, metrics);
-  std::lock_guard<std::mutex> lock(mutex_);
-  out_->append(line);
+  append(format_run_record(case_id, state, attempt, campaign_seconds,
+                           wall_seconds, detail, metrics));
 }
 
 void ManifestWriter::write_submit(const std::string& submission_id,
@@ -150,134 +123,79 @@ void ManifestWriter::write_submit(const std::string& submission_id,
                                   const std::string& reason, int cases,
                                   double cost_seconds,
                                   double campaign_seconds) {
-  const std::string line =
-      format_submit_record(submission_id, tenant, priority, decision, reason,
-                           cases, cost_seconds, campaign_seconds);
-  std::lock_guard<std::mutex> lock(mutex_);
-  out_->append(line);
+  append(format_submit_record(submission_id, tenant, priority, decision,
+                              reason, cases, cost_seconds, campaign_seconds));
 }
 
 std::string extract_json_string(const std::string& line, const std::string& key,
                                 bool* found) {
-  if (found) *found = false;
-  const std::string needle = "\"" + key + "\":\"";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return "";
-  std::string out;
-  for (usize i = at + needle.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '\\' && i + 1 < line.size()) {
-      out.push_back(line[++i]);  // writer only escapes \" and \\ in practice
-      continue;
-    }
-    if (c == '"') {
-      if (found) *found = true;
-      return out;
-    }
-    out.push_back(c);
-  }
-  return "";  // torn mid-value
-}
-
-double extract_json_number(const std::string& line, const std::string& key,
-                           bool* found) {
-  if (found) *found = false;
-  const std::string needle = "\"" + key + "\":";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return 0;
-  try {
-    const double v = std::stod(line.substr(at + needle.size()));
-    if (found) *found = true;
-    return v;
-  } catch (const std::logic_error&) {
-    return 0;
-  }
-}
-
-std::map<std::string, double> extract_json_metrics(const std::string& line) {
-  std::map<std::string, double> metrics;
-  const std::string needle = "\"metrics\":{";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return metrics;
-  usize pos = at + needle.size();
-  // Writer-controlled flat object: "key":number pairs, no nesting.
-  while (pos < line.size() && line[pos] != '}') {
-    if (line[pos] == ',' || line[pos] != '"') {
-      ++pos;
-      continue;
-    }
-    const auto key_end = line.find('"', pos + 1);
-    if (key_end == std::string::npos) break;
-    const std::string key = line.substr(pos + 1, key_end - pos - 1);
-    if (key_end + 1 >= line.size() || line[key_end + 1] != ':') break;
-    try {
-      usize used = 0;
-      metrics[key] = std::stod(line.substr(key_end + 2), &used);
-      pos = key_end + 2 + used;
-    } catch (const std::logic_error&) {
-      break;  // torn mid-number
-    }
-  }
-  return metrics;
+  const std::optional<io::Record> rec = io::parse_record(line);
+  const std::optional<std::string_view> value =
+      rec ? rec->string(key) : std::nullopt;
+  if (found) *found = value.has_value();
+  return std::string(value.value_or(""));
 }
 
 void apply_manifest_line(ManifestState& state, const std::string& line) {
-  // A kill can tear at most the final line; a record is trustworthy only
-  // when it closes its object.
-  if (line.empty() || line.back() != '}') return;
-  bool has_type = false;
-  const std::string type = extract_json_string(line, "type", &has_type);
-  if (!has_type) return;
-  if (type == "submit") {
-    bool ok = false;
-    const std::string id = extract_json_string(line, "submission", &ok);
-    if (!ok) return;
-    const std::string decision = extract_json_string(line, "decision", &ok);
-    if (!ok) return;
-    SubmissionStatus& sub = state.submissions[id];
+  // A kill can tear at most the final line; the codec rejects any line that
+  // is not one whole record, and a rejected line changes nothing.
+  if (const std::optional<io::Record> rec = io::parse_record(line))
+    apply_manifest_line(state, *rec);
+}
+
+void apply_manifest_line(ManifestState& state, const io::Record& rec) {
+  const std::optional<std::string_view> type = rec.string("type");
+  if (!type) return;
+  if (*type == "submit") {
+    const std::optional<std::string_view> id = rec.string("submission");
+    const std::optional<std::string_view> decision = rec.string("decision");
+    if (!id || !decision) return;
+    SubmissionStatus& sub = state.submissions[std::string(*id)];
     if (sub.terminal()) {
       // One decision per submission: a second terminal record means two
       // services shared a spool or an admission re-ran after its decision
       // was already durable — the double-admit the protocol exists to
       // prevent. Refuse loudly rather than re-running or re-rejecting.
       throw ManifestReplayError(
-          "manifest replay: duplicate decision for submission '" + id +
-          "' (journalled '" + sub.decision + "', then '" + decision + "')");
+          "manifest replay: duplicate decision for submission '" +
+          std::string(*id) + "' (journalled '" + sub.decision + "', then '" +
+          std::string(*decision) + "')");
     }
-    sub.decision = decision;
-    sub.reason = extract_json_string(line, "reason");
-    sub.tenant = extract_json_string(line, "tenant");
-    sub.priority = static_cast<int>(extract_json_number(line, "priority"));
-    sub.cases = static_cast<int>(extract_json_number(line, "cases"));
-    sub.cost_seconds = extract_json_number(line, "cost_seconds");
+    sub.decision = *decision;
+    sub.reason = rec.string("reason").value_or("");
+    sub.tenant = rec.string("tenant").value_or("");
+    sub.priority = static_cast<int>(rec.integer("priority").value_or(0));
+    sub.cases = static_cast<int>(rec.integer("cases").value_or(0));
+    sub.cost_seconds = rec.number("cost_seconds").value_or(0);
     return;
   }
-  if (type != "run") return;
-  bool ok = false;
-  const std::string id = extract_json_string(line, "case", &ok);
-  if (!ok) return;
-  const std::string run_state = extract_json_string(line, "state", &ok);
-  if (!ok) return;
-  CaseStatus& cs = state.cases[id];
-  if (is_terminal(cs.state) && is_terminal(run_state)) {
+  if (*type != "run") return;
+  const std::optional<std::string_view> id = rec.string("case");
+  const std::optional<std::string_view> run_state = rec.string("state");
+  if (!id || !run_state) return;
+  CaseStatus& cs = state.cases[std::string(*id)];
+  if (is_terminal(cs.state) && is_terminal(*run_state)) {
     // Two terminal records with no re-queue in between: a correct scheduler
     // never writes this. Last-writer-wins here would let a stale `failed`
     // re-run a completed case, or a stale `done` mask a real failure.
     throw ManifestReplayError(
-        "manifest replay: duplicate terminal record for case '" + id +
-        "' (journalled '" + cs.state + "', then '" + run_state + "')");
+        "manifest replay: duplicate terminal record for case '" +
+        std::string(*id) + "' (journalled '" + cs.state + "', then '" +
+        std::string(*run_state) + "')");
   }
   if (cs.completed()) {
     // `done` is absorbing: a late queued/running/retried append from a stale
     // attempt must never resurrect a completed case into the run queue.
     return;
   }
-  cs.state = run_state;
-  bool has_attempt = false;
-  const int attempt =
-      static_cast<int>(extract_json_number(line, "attempt", &has_attempt));
-  if (has_attempt && attempt > cs.attempts) cs.attempts = attempt;
-  if (run_state == "done") cs.metrics = extract_json_metrics(line);
+  cs.state = *run_state;
+  if (const std::optional<std::int64_t> attempt = rec.integer("attempt"))
+    cs.attempts = std::max(cs.attempts, static_cast<int>(*attempt));
+  if (cs.state == "done") {
+    cs.metrics.clear();
+    if (const io::Map* metrics = rec.map("metrics"))
+      io::fold_numbers(*metrics, "", &cs.metrics);
+  }
 }
 
 ManifestState read_manifest(const std::string& path) {

@@ -3,7 +3,8 @@
 ///
 /// The manifest is the campaign's single source of truth on disk, written
 /// through io::DurableAppendWriter (append-only, fsync-per-record, at most
-/// one torn final line after a kill). Records:
+/// one torn final line after a kill). Every line is one io::Record
+/// (src/io/record.hpp), so strings and doubles replay exactly. Records:
 ///
 ///   {"type":"header", "schema":"felis-campaign-1", "campaign":..., ...}
 ///   {"type":"case",   "case":id, "threads":t, "steps":s, "cost_seconds":c,
@@ -48,6 +49,7 @@
 
 namespace felis::io {
 class DurableAppendWriter;
+class Record;
 }
 
 namespace felis::sched {
@@ -108,6 +110,8 @@ class ManifestWriter {
                     double campaign_seconds);
 
  private:
+  void append(const std::string& line);
+
   std::mutex mutex_;
   std::unique_ptr<io::DurableAppendWriter> out_;
 };
@@ -141,10 +145,10 @@ struct ManifestState {
   bool found = false;  ///< manifest file existed
 };
 
-/// Pure replay transition: fold one journal line into `state`. Torn lines
-/// (no closing '}' or a value cut mid-record), blank lines and records that
-/// are neither `run` nor `submit` are ignored — a kill can tear at most the
-/// final line. Rules:
+/// Pure replay transition: fold one journal line into `state`. Lines that
+/// io::parse_record rejects (torn mid-record, blank, malformed) and records
+/// that are neither `run` nor `submit` are ignored — a kill can tear at most
+/// the final line. Rules:
 ///  * `done` is absorbing: queued/running/retried/preempted records for a
 ///    completed case are stale late appends and are ignored, never applied;
 ///  * a terminal record (`done`/`failed`) for a case whose replayed state is
@@ -155,18 +159,17 @@ struct ManifestState {
 ///    double-admission a correct service can never journal;
 ///  * everything else is last-writer-wins, as before.
 void apply_manifest_line(ManifestState& state, const std::string& line);
+/// The same transition on an already parsed record (the campaign monitor
+/// reads each line once and folds it here).
+void apply_manifest_line(ManifestState& state, const io::Record& record);
 
 ManifestState read_manifest(const std::string& path);
 
-/// Minimal extractors for the manifest's own (writer-controlled) JSON lines;
-/// shared with tests. Empty optional when the key is absent or the line is
-/// torn mid-value.
+/// The string value of `key` in a journal line (empty when the line is not a
+/// whole record or has no such string). Exists only for the frozen benchmark
+/// harness (perfbench/); everything else folds through read_manifest or
+/// reads records with io::parse_record.
 std::string extract_json_string(const std::string& line, const std::string& key,
                                 bool* found = nullptr);
-double extract_json_number(const std::string& line, const std::string& key,
-                           bool* found = nullptr);
-/// Parse the flat `"metrics":{...}` object of a run record (empty when
-/// absent or torn).
-std::map<std::string, double> extract_json_metrics(const std::string& line);
 
 }  // namespace felis::sched

@@ -4,11 +4,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -16,6 +14,7 @@
 #include "common/logger.hpp"
 #include "io/durable_append.hpp"
 #include "io/fault_injector.hpp"
+#include "io/record.hpp"
 #include "sched/manifest.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
@@ -63,39 +62,6 @@ struct MonitorState {
   io::DurableAppendWriter out;
 };
 
-std::string sched_json_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-// One `sched` record: flat counters/gauges, nested count/sum/min/max for
-// histograms — the same shape telemetry step records use, so the monitor's
-// prefix scanner reads both.
-std::string format_sched_record(double t,
-                                const telemetry::MetricsRegistry& metrics) {
-  std::ostringstream os;
-  os << R"({"type":"sched","t":)" << sched_json_number(t) << R"(,"metrics":{)";
-  bool first = true;
-  for (const telemetry::MetricRow& row : metrics.snapshot()) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << row.name << "\":";
-    if (row.kind == telemetry::MetricKind::kHistogram) {
-      const bool empty = row.count <= 0;
-      os << R"({"last":)" << sched_json_number(row.value) << R"(,"count":)"
-         << sched_json_number(row.count) << R"(,"sum":)"
-         << sched_json_number(row.sum) << R"(,"min":)"
-         << sched_json_number(empty ? 0 : row.min) << R"(,"max":)"
-         << sched_json_number(empty ? 0 : row.max) << '}';
-    } else {
-      os << sched_json_number(row.value);
-    }
-  }
-  os << "}}";
-  return os.str();
-}
-
 // Charge the queue-shape gauges and journal one record; callers hold the
 // RunState mutex (so queue/active/threads_in_flight reads are consistent)
 // and have already passed the relaxed-load gate.
@@ -104,7 +70,13 @@ void charge_sched(MonitorState& m, double t, int queue_depth, int workers_busy,
   m.metrics.set("sched.queue_depth", queue_depth);
   m.metrics.set("sched.workers_busy", workers_busy);
   m.metrics.set("sched.threads_in_flight", in_flight);
-  m.out.append(format_sched_record(t, m.metrics));
+  // One `sched` record: the registry in the same `metrics` map shape
+  // telemetry step records use, so the monitor reads both the same way.
+  m.out.append(io::Record()
+                   .add("type", "sched")
+                   .add("t", t)
+                   .add("metrics", telemetry::metrics_map(m.metrics))
+                   .str());
 }
 
 // A tenant without an explicit quota may use the whole budget; fair-share
@@ -327,10 +299,13 @@ CampaignReport Scheduler::run() {
         std::make_unique<MonitorState>(spec_.sched_stream_path());
     // Per-session header: the monitor rebases this session's `t` values onto
     // its campaign clock when it sees one (resume sessions restart at 0).
-    rs.monitor_owner->out.append(
-        std::string(R"({"type":"header","schema":"felis-sched-1","campaign":")") +
-        cfg.name + R"(","workers":)" + std::to_string(cfg.workers) +
-        R"(,"thread_budget":)" + std::to_string(cfg.thread_budget) + "}");
+    rs.monitor_owner->out.append(io::Record()
+                                     .add("type", "header")
+                                     .add("schema", "felis-sched-1")
+                                     .add("campaign", cfg.name)
+                                     .add("workers", cfg.workers)
+                                     .add("thread_budget", cfg.thread_budget)
+                                     .str());
     rs.monitor.store(rs.monitor_owner.get(), std::memory_order_relaxed);
   }
 

@@ -3,40 +3,9 @@
 #include <cmath>
 #include <sstream>
 
-namespace felis::telemetry {
+#include "io/record.hpp"
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace felis::telemetry {
 
 namespace {
 
@@ -54,7 +23,7 @@ void complete_event(std::ostringstream& os, bool& first, const std::string& name
   const std::int64_t ts = usec(t_begin);
   std::int64_t dur = usec(t_end) - ts;
   if (dur < 0) dur = 0;
-  os << R"({"name":")" << json_escape(name) << R"(","cat":")" << cat
+  os << R"({"name":")" << io::escape(name) << R"(","cat":")" << cat
      << R"(","ph":"X","pid":1,"tid":)" << tid << R"(,"ts":)" << ts
      << R"(,"dur":)" << dur << "}";
 }
@@ -64,7 +33,7 @@ void thread_name(std::ostringstream& os, bool& first, int tid,
   if (!first) os << ",\n";
   first = false;
   os << R"({"name":"thread_name","ph":"M","pid":1,"tid":)" << tid
-     << R"(,"args":{"name":")" << json_escape(name) << R"("}})";
+     << R"(,"args":{"name":")" << io::escape(name) << R"("}})";
 }
 
 }  // namespace
@@ -98,10 +67,10 @@ std::string chrome_trace_json(
     const std::int64_t ts = usec(e.t_begin);
     std::int64_t dur = usec(e.t_end) - ts;
     if (dur < 0) dur = 0;
-    os << R"({"name":")" << json_escape(leaf)
+    os << R"({"name":")" << io::escape(leaf)
        << R"(","cat":"profiler","ph":"X","pid":1,"tid":)" << kProfilerTid
        << R"(,"ts":)" << ts << R"(,"dur":)" << dur << R"(,"args":{"path":")"
-       << json_escape(e.path) << R"("}})";
+       << io::escape(e.path) << R"("}})";
   }
 
   // Stream intervals: one viewer row per stream.
@@ -131,7 +100,7 @@ std::string chrome_trace_json(
   for (const auto& [key, value] : metadata) {
     if (!first_meta) os << ", ";
     first_meta = false;
-    os << '"' << json_escape(key) << R"(": ")" << json_escape(value) << '"';
+    os << '"' << io::escape(key) << R"(": ")" << io::escape(value) << '"';
   }
   os << "}\n}\n";
   return os.str();

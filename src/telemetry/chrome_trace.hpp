@@ -37,9 +37,6 @@ struct StepMark {
   double t_seconds = 0;
 };
 
-/// JSON-escape `s` for embedding inside a double-quoted string.
-std::string json_escape(const std::string& s);
-
 /// Serialize the merged trace. `timeline` is Profiler::timeline() (events on
 /// the telemetry epoch), `stream_events` is TraceRecorder::events() (same
 /// epoch via TraceRecorder::start_at), `steps` are the step-boundary marks,

@@ -60,4 +60,19 @@ usize MetricsRegistry::size() const {
   return metrics_.size();
 }
 
+io::Map metrics_map(const MetricsRegistry& metrics) {
+  io::Map out;
+  for (const MetricRow& row : metrics.snapshot()) {
+    if (row.kind == MetricKind::kHistogram) {
+      const bool empty = row.count <= 0;
+      out.emplace_back(row.name,
+                       io::Histogram{row.value, row.count, row.sum,
+                                     empty ? 0 : row.min, empty ? 0 : row.max});
+    } else {
+      out.emplace_back(row.name, row.value);
+    }
+  }
+  return out;
+}
+
 }  // namespace felis::telemetry

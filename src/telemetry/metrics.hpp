@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "io/record.hpp"
 
 namespace felis::telemetry {
 
@@ -153,5 +154,11 @@ class MetricsRegistry {
   mutable std::mutex mutex_;  ///< guards the map shape, never the recording
   std::map<std::string, std::unique_ptr<Metric>> metrics_;
 };
+
+/// A snapshot of `metrics` as a journal record's `metrics` map: counters and
+/// gauges as numbers, histograms as {last,count,sum,min,max} with min/max 0
+/// until the first observation. Telemetry step records and the scheduler's
+/// `sched` records both write it.
+io::Map metrics_map(const MetricsRegistry& metrics);
 
 }  // namespace felis::telemetry

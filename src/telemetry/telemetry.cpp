@@ -1,13 +1,11 @@
 #include "telemetry/telemetry.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <filesystem>
-#include <sstream>
 
 #include "common/logger.hpp"
 #include "io/atomic_file.hpp"
 #include "io/durable_append.hpp"
+#include "io/record.hpp"
 
 namespace felis::telemetry {
 
@@ -37,20 +35,6 @@ TelemetryConfig config_from_params(const ParamMap& params) {
 }
 
 namespace {
-
-/// Shortest representation that round-trips a double; JSON has no Inf/NaN,
-/// so non-finite values (an empty histogram's min/max) serialize as 0.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Prefer the short form when it survives the round trip.
-  char short_buf[32];
-  std::snprintf(short_buf, sizeof(short_buf), "%.15g", v);
-  double back = 0;
-  std::sscanf(short_buf, "%lf", &back);
-  return back == v ? short_buf : buf;
-}
 
 double gauge_value(const MetricsRegistry& metrics, const char* name) {
   const Metric* m = metrics.find(name);
@@ -181,41 +165,25 @@ void Telemetry::feed_health(std::int64_t step, double step_seconds) {
 }
 
 void Telemetry::write_header_record() {
-  std::ostringstream os;
-  os << R"({"type":"header","schema":1,"interval":)" << config_.interval
-     << R"(,"metadata":{)";
-  bool first = true;
-  for (const auto& [key, value] : metadata_) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json_escape(key) << R"(":")" << json_escape(value) << '"';
-  }
-  os << "}}";
-  ndjson_->append(os.str());
+  const io::Map metadata(metadata_.begin(), metadata_.end());
+  ndjson_->append(io::Record()
+                      .add("type", "header")
+                      .add("schema", 1)
+                      .add("interval", config_.interval)
+                      .add("metadata", metadata)
+                      .str());
 }
 
 std::string Telemetry::step_record(std::int64_t step, double sim_time,
                                    double step_seconds) const {
-  std::ostringstream os;
-  os << R"({"type":"step","step":)" << step << R"(,"time":)"
-     << json_number(sim_time) << R"(,"wall_seconds":)" << json_number(now())
-     << R"(,"step_seconds":)" << json_number(step_seconds) << R"(,"metrics":{)";
-  bool first = true;
-  for (const MetricRow& row : metrics_.snapshot()) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json_escape(row.name) << R"(":)";
-    if (row.kind == MetricKind::kHistogram) {
-      os << R"({"last":)" << json_number(row.value) << R"(,"count":)"
-         << json_number(row.count) << R"(,"sum":)" << json_number(row.sum)
-         << R"(,"min":)" << json_number(row.count > 0 ? row.min : 0)
-         << R"(,"max":)" << json_number(row.count > 0 ? row.max : 0) << '}';
-    } else {
-      os << json_number(row.value);
-    }
-  }
-  os << "}}";
-  return os.str();
+  return io::Record()
+      .add("type", "step")
+      .add("step", step)
+      .add("time", sim_time)
+      .add("wall_seconds", now())
+      .add("step_seconds", step_seconds)
+      .add("metrics", metrics_map(metrics_))
+      .str();
 }
 
 void Telemetry::write_summary_csv() const {
@@ -227,10 +195,10 @@ void Telemetry::write_summary_csv() const {
   os << "name,kind,value,count,sum,min,max\n";
   for (const MetricRow& row : metrics_.snapshot()) {
     os << row.name << ',' << metric_kind_name(row.kind) << ','
-       << json_number(row.value) << ',' << json_number(row.count) << ','
-       << json_number(row.sum) << ','
-       << json_number(row.count > 0 ? row.min : 0) << ','
-       << json_number(row.count > 0 ? row.max : 0) << '\n';
+       << io::format_number(row.value) << ','
+       << io::format_number(row.count) << ',' << io::format_number(row.sum)
+       << ',' << io::format_number(row.count > 0 ? row.min : 0) << ','
+       << io::format_number(row.count > 0 ? row.max : 0) << '\n';
   }
   writer.commit();
 }

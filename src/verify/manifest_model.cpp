@@ -20,7 +20,7 @@ const char* status_name(int status) {
 }
 
 /// Deterministic stand-in metric so the model exercises the real metrics
-/// round trip (format_run_record → extract_json_metrics) per case.
+/// round trip (format_run_record → io::parse_record) per case.
 double nu_of(int i) { return 2.0 + i; }
 
 }  // namespace

@@ -207,6 +207,37 @@ TEST_F(ManifestTest, TornFinalLineIsIgnoredNotFatal) {
   EXPECT_FALSE(read_manifest(dir_ + "/absent.ndjson").found);
 }
 
+TEST_F(ManifestTest, DoneMetricsReplayBitwise) {
+  // 1.23456789012345678 has 17 significant digits; a %.10g journal would
+  // replay it as 1.234567890.
+  const std::string path = dir_ + "/manifest.ndjson";
+  const double nu = 1.23456789012345678;
+  {
+    ManifestWriter writer(path);
+    writer.write_transition("a", "done", 1, 0.5, 0.2, "",
+                            {{"nu_volume", nu}, {"tiny", 5e-324}});
+  }
+  const ManifestState state = read_manifest(path);
+  EXPECT_EQ(state.cases.at("a").metrics.at("nu_volume"), nu);
+  EXPECT_EQ(state.cases.at("a").metrics.at("tiny"), 5e-324);
+}
+
+TEST_F(ManifestTest, SubmitRecordControlBytesFoldBack) {
+  std::string tenant = "team";
+  std::string reason = "line1\nline2";
+  for (int b = 0; b < 0x20; ++b) tenant += static_cast<char>(b);
+  for (int b = 0x1f; b >= 0; --b) reason += static_cast<char>(b);
+  tenant += "\"\\\x7f";
+  ManifestState state;
+  apply_manifest_line(state, format_submit_record("sub-1", tenant, 2,
+                                                  "rejected", reason, 0, 1.5,
+                                                  0.25));
+  ASSERT_EQ(state.submissions.count("sub-1"), 1u);
+  EXPECT_EQ(state.submissions.at("sub-1").tenant, tenant);
+  EXPECT_EQ(state.submissions.at("sub-1").reason, reason);
+  EXPECT_EQ(state.submissions.at("sub-1").decision, "rejected");
+}
+
 // ---- scheduler (fake runners: no physics, pure orchestration) ------------
 
 CampaignSpec tiny_spec(const std::string& dir, int cases, int workers,
@@ -386,6 +417,32 @@ TEST_F(ManifestTest, ResumeSkipsCompletedCases) {
       EXPECT_EQ(out.result.metrics.at("Ra"), 1.0);
     }
   }
+}
+
+TEST_F(ManifestTest, ResumeSkipsCaseWhoseIdHoldsControlBytes) {
+  // A case id with \x01 and a tab must replay as itself, or resume would
+  // treat the finished case as new work and run it again.
+  CampaignSpec spec = tiny_spec(dir_, 2, 2, 2);
+  spec.cases[0].id = std::string("ra\x01\tb", 5);
+  std::atomic<int> first_runs{0};
+  Scheduler first(spec, [&](const CaseSpec&, RunContext&) {
+    first_runs.fetch_add(1);
+    return RunResult{true, "", {}};
+  });
+  EXPECT_EQ(first.run().completed, 2);
+  EXPECT_EQ(first_runs.load(), 2);
+
+  std::atomic<int> second_runs{0};
+  Scheduler second(spec, [&](const CaseSpec&, RunContext&) {
+    second_runs.fetch_add(1);
+    return RunResult{true, "", {}};
+  });
+  const CampaignReport r2 = second.run();
+  EXPECT_EQ(second_runs.load(), 0) << "a completed case was re-run";
+  EXPECT_EQ(r2.skipped, 2);
+  EXPECT_TRUE(read_manifest(dir_ + "/manifest.ndjson")
+                  .cases.at(spec.cases[0].id)
+                  .completed());
 }
 
 // ---- the real runner: campaign-level crash recovery ----------------------
