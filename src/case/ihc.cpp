@@ -1,5 +1,6 @@
 #include "case/ihc.hpp"
 
+#include <array>
 #include <cmath>
 #include <random>
 
@@ -96,19 +97,15 @@ cases::Observables InternallyHeatedSimulation::observables() const {
   const RealVec& u = solver_->u();
   const RealVec& v = solver_->v();
   const RealVec& w = solver_->w();
-  real_t sums[3] = {0, 0, 0};  // T, |u|², volume
-  fine_.dev().reduce_sum(
-      static_cast<lidx_t>(nd), 3, sums,
-      [&](lidx_t begin, lidx_t end, real_t* acc) {
-        for (lidx_t idx = begin; idx < end; ++idx) {
-          const usize i = static_cast<usize>(idx);
-          const real_t bw = mass[i];
-          acc[0] += bw * temp[i];
-          acc[1] += bw * (u[i] * u[i] + v[i] * v[i] + w[i] * w[i]);
-          acc[2] += bw;
-        }
+  // T, |u|², volume
+  std::array<real_t, 3> sums =
+      fine_.dev().reduce_sum(static_cast<lidx_t>(nd), [&](lidx_t idx) {
+        const usize i = static_cast<usize>(idx);
+        const real_t bw = mass[i];
+        return std::array<real_t, 3>{
+            bw * temp[i], bw * (u[i] * u[i] + v[i] * v[i] + w[i] * w[i]), bw};
       });
-  fine_.comm->allreduce(sums, 3, comm::ReduceOp::kSum);
+  fine_.comm->allreduce(sums.data(), 3, comm::ReduceOp::kSum);
   const real_t vol = sums[2];
   const real_t mean_t = sums[0] / vol;
   const real_t kappa = solver_->config().conductivity;

@@ -1,5 +1,6 @@
 #include "case/rbc.hpp"
 
+#include <array>
 #include <cmath>
 #include <random>
 
@@ -117,22 +118,18 @@ RbcDiagnostics RbcSimulation::diagnostics() const {
   // by inverse multiplicity — that under-counts interface nodes, whose
   // per-copy mass is only a partial weight.
   const RealVec& mass = fine_.coef->mass;
-  real_t sums[4] = {0, 0, 0, 0};  // wT, |u|², T, volume
   const RealVec& u = solver_->u();
   const RealVec& v = solver_->v();
-  fine_.dev().reduce_sum(
-      static_cast<lidx_t>(nd), 4, sums,
-      [&](lidx_t begin, lidx_t end, real_t* acc) {
-        for (lidx_t idx = begin; idx < end; ++idx) {
-          const usize i = static_cast<usize>(idx);
-          const real_t bw = mass[i];
-          acc[0] += bw * w[i] * temp[i];
-          acc[1] += bw * (u[i] * u[i] + v[i] * v[i] + w[i] * w[i]);
-          acc[2] += bw * temp[i];
-          acc[3] += bw;
-        }
+  // wT, |u|², T, volume
+  std::array<real_t, 4> sums =
+      fine_.dev().reduce_sum(static_cast<lidx_t>(nd), [&](lidx_t idx) {
+        const usize i = static_cast<usize>(idx);
+        const real_t bw = mass[i];
+        return std::array<real_t, 4>{
+            bw * w[i] * temp[i],
+            bw * (u[i] * u[i] + v[i] * v[i] + w[i] * w[i]), bw * temp[i], bw};
       });
-  fine_.comm->allreduce(sums, 4, comm::ReduceOp::kSum);
+  fine_.comm->allreduce(sums.data(), 4, comm::ReduceOp::kSum);
   const real_t vol = sums[3];
   d.nusselt_volume = 1.0 + std::sqrt(config_.rayleigh * config_.prandtl) *
                                sums[0] / vol * height_;

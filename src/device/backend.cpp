@@ -38,8 +38,6 @@ namespace felis::device {
 
 namespace {
 
-constexpr int kMaxComponents = 8;  ///< widest multi-component reduction
-
 /// Blocks per worker when the caller lets the backend pick the grain; > 1 so
 /// uneven chunk costs (e.g. boundary elements) still balance.
 constexpr lidx_t kAutoBlocksPerWorker = 4;
@@ -100,48 +98,6 @@ void Backend::parallel_for(lidx_t n, const IndexFn& fn) {
                        [&fn](lidx_t begin, lidx_t end, int /*worker*/) {
                          for (lidx_t i = begin; i < end; ++i) fn(i);
                        });
-}
-
-void Backend::reduce_sum(lidx_t n, int ncomp, real_t* out,
-                         const PartialSumFn& fn, lidx_t grain) {
-  FELIS_CHECK(ncomp >= 1 && ncomp <= kMaxComponents);
-  FELIS_CHECK(grain > 0);
-  std::fill(out, out + ncomp, real_t{0});
-  if (n <= 0) return;
-  const lidx_t nblocks = block_count(n, grain);
-  // Per-block partials land in fixed slots, then combine in ascending block
-  // order: the FP association depends only on (n, grain), never on the
-  // backend or thread count.
-  std::vector<real_t> partials(static_cast<usize>(nblocks) * ncomp, real_t{0});
-  parallel_for_blocked(
-      nblocks, /*grain=*/0, [&](lidx_t bbegin, lidx_t bend, int /*worker*/) {
-        for (lidx_t b = bbegin; b < bend; ++b) {
-          fn(b * grain, std::min<lidx_t>(n, (b + 1) * grain),
-             partials.data() + static_cast<usize>(b) * ncomp);
-        }
-      });
-  for (lidx_t b = 0; b < nblocks; ++b) {
-    for (int c = 0; c < ncomp; ++c) {
-      out[c] += partials[static_cast<usize>(b) * ncomp + c];
-    }
-  }
-}
-
-real_t Backend::reduce_sum(lidx_t n, const SpanFn& fn, lidx_t grain) {
-  FELIS_CHECK(grain > 0);
-  if (n <= 0) return real_t{0};
-  const lidx_t nblocks = block_count(n, grain);
-  std::vector<real_t> partials(static_cast<usize>(nblocks), real_t{0});
-  parallel_for_blocked(
-      nblocks, /*grain=*/0, [&](lidx_t bbegin, lidx_t bend, int /*worker*/) {
-        for (lidx_t b = bbegin; b < bend; ++b) {
-          partials[static_cast<usize>(b)] =
-              fn(b * grain, std::min<lidx_t>(n, (b + 1) * grain));
-        }
-      });
-  real_t sum = 0;
-  for (const real_t p : partials) sum += p;
-  return sum;
 }
 
 real_t Backend::reduce_max(lidx_t n, const SpanFn& fn, lidx_t grain) {

@@ -18,8 +18,12 @@
 /// and CFL numbers are bitwise identical for every backend and thread count.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <functional>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -38,17 +42,42 @@ using RangeFn = std::function<void(lidx_t begin, lidx_t end, int worker)>;
 /// Per-index convenience callback (tests, setup-time loops).
 using IndexFn = std::function<void(lidx_t i)>;
 
-/// Reduction block callback: accumulate the contribution of [begin, end)
-/// into acc[0..ncomp) (acc is zero-initialized per block).
-using PartialSumFn = std::function<void(lidx_t begin, lidx_t end, real_t* acc)>;
-
-/// Single-value reduction block callback: return the partial over [begin, end).
+/// Max-reduction block callback: return the partial over [begin, end).
 using SpanFn = std::function<real_t(lidx_t begin, lidx_t end)>;
 
 /// Fixed block length of the deterministic reductions. Independent of the
 /// backend and thread count on purpose: the block partition *is* the
 /// floating-point association, so changing it changes results.
 inline constexpr lidx_t kReduceGrain = 2048;
+
+namespace detail {
+
+inline void accumulate(real_t& acc, real_t term) { acc += term; }
+
+template <usize K>
+void accumulate(std::array<real_t, K>& acc, const std::array<real_t, K>& term) {
+  for (usize c = 0; c < K; ++c) acc[c] += term[c];
+}
+
+/// In-order partials of L consecutive reduction blocks of length `len`, the
+/// first starting at index `first`, after prepare() (if any) on their range.
+/// The blocks advance in lockstep: step j adds term(first + j) to block 0,
+/// term(first + G + j) to block 1, ..., so the L add chains are independent
+/// and overlap in the FP pipeline, while each block's own association stays
+/// 0 + t0 + t1 + ... in index order.
+template <int L, class Term, class Prepare, class R>
+void lockstep_partials(const Term& term, const Prepare& prepare, lidx_t first,
+                       lidx_t len, R* out) {
+  if constexpr (!std::is_same_v<Prepare, std::nullptr_t>)
+    prepare(first, first + (L - 1) * kReduceGrain + len);
+  R acc[L] = {};
+  for (lidx_t j = 0; j < len; ++j)
+    for (int b = 0; b < L; ++b)
+      accumulate(acc[b], term(first + b * kReduceGrain + j));
+  for (int b = 0; b < L; ++b) out[b] = acc[b];
+}
+
+}  // namespace detail
 
 class Backend {
  public:
@@ -74,14 +103,47 @@ class Backend {
   /// must only write disjoint per-i data.
   void parallel_for(lidx_t n, const IndexFn& fn);
 
-  /// Deterministic ncomp-component sum over [0, n): block partials (each a
-  /// serial in-order accumulation) combined in ascending block order.
-  /// out[0..ncomp) is overwritten.
-  void reduce_sum(lidx_t n, int ncomp, real_t* out, const PartialSumFn& fn,
-                  lidx_t grain = kReduceGrain);
-
-  /// Deterministic single sum over [0, n).
-  real_t reduce_sum(lidx_t n, const SpanFn& fn, lidx_t grain = kReduceGrain);
+  /// Deterministic sum over [0, n) of term(i), which returns a real_t or,
+  /// for K sums in one pass, a std::array<real_t, K>. The association is
+  /// fixed: [0, n) splits into kReduceGrain blocks, each block's partial is
+  /// an in-order accumulation from zero, and the partials are added to zero
+  /// in ascending block order — the same bits on every backend and thread
+  /// count. Blocks are evaluated four (then two, then one) at a time in
+  /// lockstep so their add chains overlap.
+  ///
+  /// `prepare(begin, end)`, when given, runs on each contiguous index range
+  /// right before the terms of that range are summed (the range covers whole
+  /// lockstep groups, and ranges are disjoint): a fused kernel can produce
+  /// the values its terms read while they are still in cache. term and
+  /// prepare may run concurrently on disjoint ranges.
+  template <class Term, class Prepare = std::nullptr_t>
+  auto reduce_sum(lidx_t n, const Term& term, const Prepare& prepare = nullptr) {
+    using R = std::decay_t<std::invoke_result_t<const Term&, lidx_t>>;
+    R total{};
+    if (n <= 0) return total;
+    const lidx_t nblocks = (n + kReduceGrain - 1) / kReduceGrain;
+    const lidx_t nfull = n / kReduceGrain;
+    std::vector<R> partials(static_cast<usize>(nblocks));
+    // Dispatch whole lockstep groups, so parallel chunks keep all four lanes.
+    const lidx_t ngroups = (nblocks + 3) / 4;
+    parallel_for_blocked(ngroups, /*grain=*/0, [&](lidx_t g0, lidx_t g1, int) {
+      const lidx_t b1 = std::min(nblocks, 4 * g1);
+      const lidx_t full_end = std::min(b1, nfull);
+      constexpr lidx_t G = kReduceGrain;
+      R* out = partials.data();
+      lidx_t b = 4 * g0;
+      for (; b + 4 <= full_end; b += 4)
+        detail::lockstep_partials<4>(term, prepare, b * G, G, out + b);
+      for (; b + 2 <= full_end; b += 2)
+        detail::lockstep_partials<2>(term, prepare, b * G, G, out + b);
+      for (; b < full_end; ++b)
+        detail::lockstep_partials<1>(term, prepare, b * G, G, out + b);
+      if (b < b1)  // the ragged last block
+        detail::lockstep_partials<1>(term, prepare, b * G, n - b * G, out + b);
+    });
+    for (const R& p : partials) detail::accumulate(total, p);
+    return total;
+  }
 
   /// Max over [0, n) (max is associative and commutative, so this is exact
   /// for any partition); identity is -inf, so n == 0 returns -inf.

@@ -384,15 +384,10 @@ StepInfo FlowSolver::step() {
     operators::div_strong(fine_, u_[0], u_[1], u_[2], div);
     const RealVec& w = fine_.gs->inverse_multiplicity();
     const RealVec& mass = fine_.coef->mass;
-    real_t s = fine_.dev().reduce_sum(
-        static_cast<lidx_t>(nd), [&](lidx_t begin, lidx_t end) {
-          real_t acc = 0;
-          for (lidx_t i = begin; i < end; ++i) {
-            const usize u = static_cast<usize>(i);
-            acc += div[u] * div[u] * mass[u] * w[u];
-          }
-          return acc;
-        });
+    real_t s = fine_.dev().reduce_sum(static_cast<lidx_t>(nd), [&](lidx_t i) {
+      const usize u = static_cast<usize>(i);
+      return div[u] * div[u] * mass[u] * w[u];
+    });
     fine_.comm->allreduce(&s, 1, comm::ReduceOp::kSum);
     info.divergence = std::sqrt(s);
   }

@@ -8,10 +8,20 @@
 /// in two phases, one for the local and one for the shared elements between
 /// different MPI ranks." (§6)
 ///
-/// felis implements exactly this: a rank-local gather over nodes duplicated
-/// within the rank, a neighbour exchange of partial results for nodes shared
-/// across ranks (canonically ordered by global id so both sides agree), and
-/// a scatter writing the combined value back to every duplicate.
+/// felis implements exactly this. Setup sorts the rank's dofs by global id
+/// and keeps only the ids that need work, in two compact lists:
+///
+///  - local ids (duplicated on this rank, no remote sharer): ONE fused pass
+///    combines an id's duplicates and writes the result straight back;
+///  - shared ids (held by at least one other rank): a gather of the local
+///    partials, a neighbour exchange of those partials (canonically ordered
+///    by global id so both sides agree), and a scatter of the combined value
+///    to every local duplicate. The local pass runs while the messages are
+///    in flight.
+///
+/// Ids held once by one rank (element interiors) are not touched at all.
+/// The combine order of an id's values is fixed: its local dofs in setup
+/// order, then each neighbour's partial in ascending rank order.
 ///
 /// The operator also reports its communication footprint (neighbour count,
 /// doubles exchanged), which feeds the strong-scaling performance model.
@@ -68,19 +78,23 @@ class GatherScatter {
     return backend_ != nullptr ? *backend_ : device::default_backend();
   }
 
+  template <class Combine>
+  void apply_with(RealVec& field, Combine combine, Profiler* prof) const;
+
   comm::Communicator& comm_;
   device::Backend* backend_ = nullptr;  ///< null = process default
   usize num_dofs_ = 0;
   int tag_ = 0;
-  std::vector<bool> active_;  ///< unique ids needing gather/scatter work
 
-  // Unique ids needing work (duplicated locally and/or shared across ranks),
-  // CSR-style: dofs of unique id u are dofs_[dof_start_[u] .. dof_start_[u+1]).
-  std::vector<lidx_t> dof_start_;
-  std::vector<lidx_t> dofs_;
+  // CSR id lists: the dofs of the u-th local (resp. shared) id are
+  // local_dofs_[local_start_[u] .. local_start_[u+1]) (resp. shared_*).
+  std::vector<lidx_t> local_start_;
+  std::vector<lidx_t> local_dofs_;
+  std::vector<lidx_t> shared_start_;
+  std::vector<lidx_t> shared_dofs_;
 
   // Shared-node exchange: for neighbour i, shared_pos_[i] lists indices into
-  // the unique-id arrays, ordered by ascending global id on both sides.
+  // the shared-id list, ordered by ascending global id on both sides.
   std::vector<int> neighbors_;
   std::vector<std::vector<lidx_t>> shared_pos_;
 

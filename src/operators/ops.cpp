@@ -1,5 +1,6 @@
 #include "operators/ops.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "device/workspace.hpp"
@@ -8,10 +9,6 @@ namespace felis::operators {
 
 namespace {
 
-/// Block length for dof-level reductions: the fixed association contract
-/// (device::kReduceGrain) shared by every backend and thread count.
-constexpr lidx_t kDofGrain = device::kReduceGrain;
-
 lidx_t vec_len(const RealVec& x) { return static_cast<lidx_t>(x.size()); }
 
 }  // namespace
@@ -19,17 +16,10 @@ lidx_t vec_len(const RealVec& x) { return static_cast<lidx_t>(x.size()); }
 real_t glsc3(const Context& ctx, const RealVec& x, const RealVec& y,
              const RealVec& w) {
   FELIS_CHECK(x.size() == y.size() && x.size() == w.size());
-  real_t s = ctx.dev().reduce_sum(
-      vec_len(x),
-      [&](lidx_t begin, lidx_t end) {
-        real_t acc = 0;
-        for (lidx_t i = begin; i < end; ++i) {
-          const usize u = static_cast<usize>(i);
-          acc += x[u] * y[u] * w[u];
-        }
-        return acc;
-      },
-      kDofGrain);
+  real_t s = ctx.dev().reduce_sum(vec_len(x), [&](lidx_t i) {
+    const usize u = static_cast<usize>(i);
+    return x[u] * y[u] * w[u];
+  });
   ctx.comm->allreduce(&s, 1, comm::ReduceOp::kSum);
   if (ctx.prof) {
     ctx.prof->add_flops(3.0 * static_cast<double>(x.size()));
@@ -46,37 +36,23 @@ real_t gdot(const Context& ctx, const RealVec& x, const RealVec& y) {
 void remove_mean(const Context& ctx, RealVec& x) {
   const RealVec& inv_mult = ctx.gs->inverse_multiplicity();
   const RealVec& mass = ctx.coef->mass;
-  real_t sums[2] = {0, 0};
-  ctx.dev().reduce_sum(
-      vec_len(x), 2, sums,
-      [&](lidx_t begin, lidx_t end, real_t* acc) {
-        for (lidx_t i = begin; i < end; ++i) {
-          const usize u = static_cast<usize>(i);
-          const real_t bw = mass[u] * inv_mult[u];
-          acc[0] += bw * x[u];
-          acc[1] += bw;
-        }
-      },
-      kDofGrain);
-  ctx.comm->allreduce(sums, 2, comm::ReduceOp::kSum);
+  std::array<real_t, 2> sums = ctx.dev().reduce_sum(vec_len(x), [&](lidx_t i) {
+    const usize u = static_cast<usize>(i);
+    const real_t bw = mass[u] * inv_mult[u];
+    return std::array<real_t, 2>{bw * x[u], bw};
+  });
+  ctx.comm->allreduce(sums.data(), 2, comm::ReduceOp::kSum);
   if (ctx.prof) ctx.prof->add_reduction();
   vec_shift(ctx.dev(), -sums[0] / sums[1], x);
 }
 
 void remove_null_component(const Context& ctx, RealVec& b) {
   const RealVec& inv_mult = ctx.gs->inverse_multiplicity();
-  real_t sums[2] = {0, 0};
-  ctx.dev().reduce_sum(
-      vec_len(b), 2, sums,
-      [&](lidx_t begin, lidx_t end, real_t* acc) {
-        for (lidx_t i = begin; i < end; ++i) {
-          const usize u = static_cast<usize>(i);
-          acc[0] += b[u] * inv_mult[u];
-          acc[1] += inv_mult[u];
-        }
-      },
-      kDofGrain);
-  ctx.comm->allreduce(sums, 2, comm::ReduceOp::kSum);
+  std::array<real_t, 2> sums = ctx.dev().reduce_sum(vec_len(b), [&](lidx_t i) {
+    const usize u = static_cast<usize>(i);
+    return std::array<real_t, 2>{b[u] * inv_mult[u], inv_mult[u]};
+  });
+  ctx.comm->allreduce(sums.data(), 2, comm::ReduceOp::kSum);
   if (ctx.prof) ctx.prof->add_reduction();
   vec_shift(ctx.dev(), -sums[0] / sums[1], b);
 }

@@ -7,8 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "case/rbc.hpp"
+#include "case/registry.hpp"
+#include "common/crc32.hpp"
 #include "device/backend.hpp"
 #include "operators/ops.hpp"
 #include "operators/setup.hpp"
@@ -158,6 +164,81 @@ TEST_P(BackendEquivalence, FullRbcStepBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, BackendEquivalence,
                          ::testing::Values(1, 2, 4));
+
+// ---- pinned bits --------------------------------------------------------
+//
+// The equivalence tests above compare two backends of the SAME code, so a
+// change that alters every backend alike (a different summation order in a
+// reduction, a reordered gather-scatter combine) passes them. These literals
+// pin the results themselves: CRC-32s of the final fields and of the per-step
+// iteration sequence of two registered cases, recorded before the vector
+// layer was restructured for speed, must stay exactly the same. They hold
+// for this toolchain with -march=native -ffp-contract=off; a different
+// compiler or libm may legitimately move them, a code change must not.
+
+struct PinnedRun {
+  std::uint32_t fields = 0;      ///< final u, v, w, T, p (chained CRC-32)
+  std::uint32_t iterations = 0;  ///< per step: pressure, velocity, scalar
+};
+
+PinnedRun run_pinned_case(const std::string& type, device::Backend& backend) {
+  ParamMap params;
+  params.set("case.type", type);
+  params.set("case.Ra", 1e5);
+  params.set("case.dt", 1e-2);
+  comm::SelfComm comm;
+  const std::unique_ptr<cases::CaseSetup> setup = cases::build_case(
+      cases::resolve_case(params), params, comm, &backend);
+  setup->sim->set_initial_conditions();
+  std::vector<int> iterations;
+  for (int s = 0; s < 4; ++s) {
+    const fluid::StepInfo info = setup->sim->step();
+    iterations.push_back(info.pressure_iterations);
+    iterations.push_back(info.velocity_iterations);
+    iterations.push_back(info.scalar_iterations);
+  }
+  PinnedRun run;
+  const fluid::FlowSolver& s = setup->sim->solver();
+  for (const RealVec* f : {&s.u(), &s.v(), &s.w(), &s.temperature(),
+                           &s.pressure()})
+    run.fields = crc32(reinterpret_cast<const std::byte*>(f->data()),
+                       f->size() * sizeof(real_t), run.fields);
+  run.iterations =
+      crc32(reinterpret_cast<const std::byte*>(iterations.data()),
+            iterations.size() * sizeof(int));
+  return run;
+}
+
+struct PinnedCase {
+  const char* type;
+  PinnedRun expect;
+};
+
+class PinnedBits : public ::testing::TestWithParam<PinnedCase> {};
+
+TEST_P(PinnedBits, SerialAndOpenMpMatchRecordedCrcs) {
+  const PinnedCase& pinned = GetParam();
+  device::SerialBackend serial;
+  device::OpenMpBackend omp(2);
+  for (device::Backend* backend :
+       std::initializer_list<device::Backend*>{&serial, &omp}) {
+    const PinnedRun got = run_pinned_case(pinned.type, *backend);
+    EXPECT_EQ(got.fields, pinned.expect.fields)
+        << pinned.type << " on " << backend->name() << ": fields crc 0x"
+        << std::hex << got.fields;
+    EXPECT_EQ(got.iterations, pinned.expect.iterations)
+        << pinned.type << " on " << backend->name() << ": iterations crc 0x"
+        << std::hex << got.iterations;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, PinnedBits,
+    ::testing::Values(PinnedCase{"rbc", {0x7fb6a6dbu, 0xe7bf3980u}},
+                      PinnedCase{"rbc_cyl", {0xfba7b4b1u, 0x672dc073u}}),
+    [](const ::testing::TestParamInfo<PinnedCase>& info) {
+      return std::string(info.param.type);
+    });
 
 }  // namespace
 }  // namespace felis

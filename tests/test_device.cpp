@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/params.hpp"
@@ -141,7 +144,7 @@ TEST(BackendTest, EmptyRangeNeverInvokesCallback) {
   for (Backend* backend : std::initializer_list<Backend*>{&serial, &omp}) {
     backend->parallel_for_blocked(0, 0, [](lidx_t, lidx_t, int) { FAIL(); });
     backend->parallel_for_blocked(0, 7, [](lidx_t, lidx_t, int) { FAIL(); });
-    EXPECT_EQ(backend->reduce_sum(0, [](lidx_t, lidx_t) -> real_t {
+    EXPECT_EQ(backend->reduce_sum(0, [](lidx_t) -> real_t {
       ADD_FAILURE();
       return 0;
     }), 0.0);
@@ -152,45 +155,79 @@ TEST(BackendTest, EmptyRangeNeverInvokesCallback) {
   }
 }
 
-TEST(BackendTest, ReduceSumBitwiseIdenticalAcrossBackends) {
-  // The deterministic-reduction contract: identical bits for every backend
-  // and thread count, because the block partition fixes the FP association.
-  const lidx_t n = 3 * kReduceGrain + 517;  // several blocks plus a ragged tail
-  RealVec x(static_cast<usize>(n));
-  for (lidx_t i = 0; i < n; ++i)
-    x[static_cast<usize>(i)] = std::sin(0.37 * static_cast<real_t>(i)) + 1e-14;
-  const auto span = [&x](lidx_t begin, lidx_t end) {
-    real_t s = 0;
-    for (lidx_t i = begin; i < end; ++i) s += x[static_cast<usize>(i)];
-    return s;
+/// Terms with a wide exponent range, so any change of association shows in
+/// the low bits of the sum.
+real_t ragged_term(lidx_t i) {
+  const real_t x = static_cast<real_t>(i);
+  return std::sin(0.37 * x) * std::exp2(static_cast<real_t>(i % 41) - 20) + 1e-14;
+}
+
+/// The contract written out plainly: in-order partial per kReduceGrain
+/// block from zero, partials added to zero in ascending block order.
+template <usize K, class Term>
+std::array<real_t, K> in_order_block_sums(lidx_t n, const Term& term) {
+  std::array<real_t, K> total{};
+  for (lidx_t b0 = 0; b0 < n; b0 += kReduceGrain) {
+    std::array<real_t, K> block{};
+    for (lidx_t i = b0; i < std::min(n, b0 + kReduceGrain); ++i) {
+      const std::array<real_t, K> t = term(i);
+      for (usize c = 0; c < K; ++c) block[c] += t[c];
+    }
+    for (usize c = 0; c < K; ++c) total[c] += block[c];
+  }
+  return total;
+}
+
+TEST(BackendTest, ReduceSumMatchesInOrderBlockReference) {
+  // Every edge of the lockstep grouping: empty, one ragged block, exactly
+  // one/four full blocks with and without a ragged tail, and a long run.
+  constexpr lidx_t G = kReduceGrain;
+  const auto pair = [](lidx_t i) {
+    return std::array<real_t, 2>{ragged_term(i), ragged_term(3 * i + 1) * 0.5};
   };
+  const auto single = [](lidx_t i) { return std::array<real_t, 1>{ragged_term(i)}; };
   SerialBackend serial;
-  const real_t expect = serial.reduce_sum(n, span);
-  for (int threads : {1, 2, 3, 4}) {
-    OpenMpBackend omp(threads);
-    const real_t got = omp.reduce_sum(n, span);
-    EXPECT_EQ(got, expect) << "threads=" << threads;  // bitwise, not NEAR
+  OpenMpBackend omp1(1), omp2(2), omp4(4);
+  for (const lidx_t n : {lidx_t{0}, lidx_t{1}, G - 1, G, G + 1, 4 * G - 1, 4 * G,
+                         4 * G + 1, 27 * G}) {
+    const real_t expect = in_order_block_sums<1>(n, single)[0];
+    const std::array<real_t, 2> expect2 = in_order_block_sums<2>(n, pair);
+    for (Backend* backend :
+         std::initializer_list<Backend*>{&serial, &omp1, &omp2, &omp4}) {
+      const std::string where =
+          backend->name() + "/" + std::to_string(backend->concurrency()) +
+          " n=" + std::to_string(n);
+      EXPECT_EQ(backend->reduce_sum(n, ragged_term), expect) << where;  // bitwise
+      const std::array<real_t, 2> got2 = backend->reduce_sum(n, pair);
+      EXPECT_EQ(got2[0], expect2[0]) << where;
+      EXPECT_EQ(got2[1], expect2[1]) << where;
+    }
   }
 }
 
-TEST(BackendTest, MultiComponentReduceSumIsDeterministic) {
-  const lidx_t n = 2 * kReduceGrain + 99;
-  const auto fn = [](lidx_t begin, lidx_t end, real_t* acc) {
-    for (lidx_t i = begin; i < end; ++i) {
-      const real_t v = std::cos(0.11 * static_cast<real_t>(i));
-      acc[0] += v;
-      acc[1] += v * v;
-      acc[2] += 1.0;
-    }
-  };
+TEST(BackendTest, ReduceSumPrepareRunsOnceBeforeEachRangesTerms) {
+  // The fused-kernel hook: every index is prepared exactly once, and before
+  // its term is read — here prepare writes the values the terms sum.
+  const lidx_t n = 9 * kReduceGrain + 5;
+  const auto value = [](lidx_t i) { return ragged_term(i); };
+  const real_t expect = SerialBackend().reduce_sum(n, value);
   SerialBackend serial;
-  real_t expect[3];
-  serial.reduce_sum(n, 3, expect, fn);
-  EXPECT_EQ(expect[2], static_cast<real_t>(n));
-  OpenMpBackend omp(4);
-  real_t got[3];
-  omp.reduce_sum(n, 3, got, fn);
-  for (int c = 0; c < 3; ++c) EXPECT_EQ(got[c], expect[c]);
+  OpenMpBackend omp(3);
+  for (Backend* backend : std::initializer_list<Backend*>{&serial, &omp}) {
+    RealVec x(static_cast<usize>(n), std::nan(""));
+    std::vector<std::atomic<int>> prepared(static_cast<usize>(n));
+    const real_t got = backend->reduce_sum(
+        n, [&](lidx_t i) { return x[static_cast<usize>(i)]; },
+        [&](lidx_t begin, lidx_t end) {
+          for (lidx_t i = begin; i < end; ++i) {
+            prepared[static_cast<usize>(i)].fetch_add(1);
+            x[static_cast<usize>(i)] = value(i);
+          }
+        });
+    EXPECT_EQ(got, expect) << backend->name();
+    for (lidx_t i = 0; i < n; ++i)
+      ASSERT_EQ(prepared[static_cast<usize>(i)].load(), 1) << "index " << i;
+  }
 }
 
 TEST(BackendTest, ReduceMaxFindsGlobalMaximum) {

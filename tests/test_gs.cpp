@@ -1,10 +1,16 @@
 // Tests for the two-phase gather-scatter: serial correctness against a dense
-// reference, multi-rank equivalence to the serial result, multiplicities,
-// and min/max operations (used for Dirichlet masks).
+// reference, bitwise agreement with the documented combine order on slab,
+// periodic and cylinder meshes at several rank counts, multi-rank
+// equivalence to the serial result, multiplicities, and min/max operations
+// (used for Dirichlet masks).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "comm/comm.hpp"
 #include "gs/gather_scatter.hpp"
@@ -87,6 +93,120 @@ TEST(GatherScatterSerial, InverseMultiplicityAveragesToConstant) {
   const RealVec& inv = gs.inverse_multiplicity();
   for (usize i = 0; i < f.size(); ++i) EXPECT_NEAR(f[i] * inv[i], 3.75, 1e-13);
 }
+
+real_t combine_ref(GsOp op, real_t a, real_t b) {
+  switch (op) {
+    case GsOp::kAdd: return a + b;
+    case GsOp::kMin: return a < b ? a : b;
+    case GsOp::kMax: return a > b ? a : b;
+  }
+  return a;
+}
+
+/// The combine order of GatherScatter written out densely over all ranks:
+/// on each rank an id's local dofs combine in the order a std::sort of the
+/// dof indices by id leaves them, and every other rank's partial for that
+/// id follows in ascending rank order.
+std::vector<RealVec> ordered_reference(const std::vector<mesh::LocalMesh>& locals,
+                                       const std::vector<RealVec>& fields,
+                                       GsOp op) {
+  std::vector<std::map<gidx_t, real_t>> partial(locals.size());
+  for (usize r = 0; r < locals.size(); ++r) {
+    const std::vector<gidx_t>& ids = locals[r].node_ids;
+    std::vector<lidx_t> order(ids.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](lidx_t a, lidx_t b) {
+      return ids[static_cast<usize>(a)] < ids[static_cast<usize>(b)];
+    });
+    for (const lidx_t d : order) {
+      const real_t x = fields[r][static_cast<usize>(d)];
+      const auto [it, inserted] = partial[r].emplace(ids[static_cast<usize>(d)], x);
+      if (!inserted) it->second = combine_ref(op, it->second, x);
+    }
+  }
+  std::vector<RealVec> out(locals.size());
+  for (usize r = 0; r < locals.size(); ++r) {
+    out[r].resize(fields[r].size());
+    for (usize d = 0; d < out[r].size(); ++d) {
+      const gidx_t id = locals[r].node_ids[d];
+      real_t v = partial[r].at(id);
+      for (usize q = 0; q < locals.size(); ++q) {
+        if (q == r) continue;
+        const auto it = partial[q].find(id);
+        if (it != partial[q].end()) v = combine_ref(op, v, it->second);
+      }
+      out[r][d] = v;
+    }
+  }
+  return out;
+}
+
+struct OrderedGsCase {
+  const char* mesh;
+  int nranks;
+};
+
+class GatherScatterOrdered : public ::testing::TestWithParam<OrderedGsCase> {};
+
+TEST_P(GatherScatterOrdered, MatchesOrderedDenseReferenceBitwise) {
+  const OrderedGsCase& param = GetParam();
+  const std::string kind = param.mesh;
+  mesh::HexMesh mesh;
+  if (kind == "cylinder") {
+    mesh::CylinderMeshConfig cyl;
+    cyl.nz = 3;
+    mesh = make_cylinder_mesh(cyl);
+  } else {
+    mesh::BoxMeshConfig cfg;
+    cfg.nx = cfg.ny = cfg.nz = 3;
+    cfg.periodic_x = cfg.periodic_y = true;
+    cfg.periodic_z = (kind == "periodic");
+    mesh = make_box_mesh(cfg);
+  }
+  const auto locals = mesh::distribute_mesh(mesh, 3, param.nranks);
+  std::vector<RealVec> fields(locals.size());
+  for (usize r = 0; r < locals.size(); ++r) {
+    // Wide exponent range, so any change of combine order shows in the bits.
+    fields[r] = test_field(static_cast<usize>(locals[r].num_local_dofs()),
+                           static_cast<int>(r));
+    for (usize i = 0; i < fields[r].size(); ++i)
+      fields[r][i] *= std::exp2(static_cast<real_t>((i * 13 + r) % 37) - 18);
+  }
+  for (const GsOp op : {GsOp::kAdd, GsOp::kMin, GsOp::kMax}) {
+    const std::vector<RealVec> expect = ordered_reference(locals, fields, op);
+    comm::run_parallel(param.nranks, [&](comm::Communicator& comm) {
+      const usize r = static_cast<usize>(comm.rank());
+      device::SerialBackend serial;
+      device::OpenMpBackend omp(2);
+      for (device::Backend* backend :
+           std::initializer_list<device::Backend*>{&serial, &omp}) {
+        // No early return on a mismatch: every rank must reach every
+        // collective, or the others would wait forever.
+        const GatherScatter gs(locals[r], comm, 0, backend);
+        RealVec f = fields[r];
+        gs.apply(f, op);
+        usize mismatches = 0, first = 0;
+        for (usize i = 0; i < f.size(); ++i)
+          if (f[i] != expect[r][i] && mismatches++ == 0) first = i;
+        EXPECT_EQ(mismatches, 0u)
+            << kind << " rank " << r << "/" << param.nranks << " op "
+            << static_cast<int>(op) << " " << backend->name()
+            << ": first differing dof " << first;
+      }
+    });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Meshes, GatherScatterOrdered,
+    ::testing::Values(OrderedGsCase{"slab", 1}, OrderedGsCase{"slab", 2},
+                      OrderedGsCase{"slab", 4}, OrderedGsCase{"periodic", 1},
+                      OrderedGsCase{"periodic", 2}, OrderedGsCase{"periodic", 4},
+                      OrderedGsCase{"cylinder", 1}, OrderedGsCase{"cylinder", 2},
+                      OrderedGsCase{"cylinder", 4}),
+    [](const ::testing::TestParamInfo<OrderedGsCase>& info) {
+      return std::string(info.param.mesh) + std::to_string(info.param.nranks);
+    });
 
 class GatherScatterParallel : public ::testing::TestWithParam<int> {};
 

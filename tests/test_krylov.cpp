@@ -1,11 +1,14 @@
 // Tests for Krylov solvers: CG and GMRES on manufactured Poisson/Helmholtz
 // problems (including spectral convergence with polynomial order and
 // multi-rank equivalence), Jacobi preconditioning, null-space handling,
-// GMRES breakdown recovery (happy and degenerate) and residual-projection
+// GMRES breakdown recovery (happy and degenerate), the fused classical
+// Gram–Schmidt kernel against its unfused form, and residual-projection
 // initial guesses.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "krylov/cg.hpp"
 #include "krylov/gmres.hpp"
@@ -318,6 +321,76 @@ TEST(Gmres, HappyBreakdownReturnsExactSolutionConverged) {
   for (usize i = 0; i < x.size(); ++i) {
     if (i != dof) {
       ASSERT_EQ(x[i], 0.0);
+    }
+  }
+}
+
+/// gdot's association written out: in-order partials of x·y·weight per
+/// kReduceGrain block, added in ascending block order.
+real_t block_ordered_dot(const RealVec& x, const RealVec& y, const RealVec& weight) {
+  real_t total = 0;
+  for (usize b0 = 0; b0 < x.size(); b0 += device::kReduceGrain) {
+    real_t block = 0;
+    const usize b1 = std::min(x.size(), b0 + device::kReduceGrain);
+    for (usize i = b0; i < b1; ++i) block += x[i] * y[i] * weight[i];
+    total += block;
+  }
+  return total;
+}
+
+TEST(Gmres, FusedGramSchmidtMatchesPerVectorLoopBitwise) {
+  // The unfused step, one basis vector at a time: k+1 dots, k+1 axpys in
+  // ascending j, then the norm. The fused kernel must give the same bits
+  // for every basis size GMRES(30) reaches, on serial and OpenMP.
+  mesh::BoxMeshConfig cfg;
+  cfg.nx = cfg.ny = 4;
+  cfg.nz = 3;
+  comm::SelfComm comm;
+  device::SerialBackend serial;
+  device::OpenMpBackend omp(3);
+  for (device::Backend* backend :
+       std::initializer_list<device::Backend*>{&serial, &omp}) {
+    const auto setup = operators::make_rank_setup(mesh::make_box_mesh(cfg), 5,
+                                                  comm, false, true, backend);
+    const Context ctx = setup.ctx();
+    const usize nd = ctx.num_dofs();
+    ASSERT_GT(nd, 4 * static_cast<usize>(device::kReduceGrain));  // several blocks
+    const RealVec& weight = ctx.gs->inverse_multiplicity();
+    std::vector<RealVec> basis(31, RealVec(nd));
+    for (usize j = 0; j < basis.size(); ++j)
+      for (usize i = 0; i < nd; ++i)
+        basis[j][i] = std::sin(0.013 * static_cast<real_t>((j + 1) * i) + 0.1 * j) /
+                      static_cast<real_t>(1 + (i * 7 + j) % 23);
+    RealVec w0(nd);
+    for (usize i = 0; i < nd; ++i) w0[i] = std::cos(0.0071 * static_cast<real_t>(i)) + 0.3;
+    std::vector<const RealVec*> ptrs;
+    for (const RealVec& v : basis) ptrs.push_back(&v);
+
+    for (usize k = 0; k <= 30; ++k) {
+      RealVec expect_w = w0;
+      RealVec expect_h(k + 1);
+      for (usize j = 0; j <= k; ++j) expect_h[j] = block_ordered_dot(w0, basis[j], weight);
+      for (usize j = 0; j <= k; ++j)
+        for (usize i = 0; i < nd; ++i) expect_w[i] += -expect_h[j] * basis[j][i];
+      const real_t expect_norm =
+          std::sqrt(block_ordered_dot(expect_w, expect_w, weight));
+
+      RealVec w = w0;
+      RealVec h(k + 1);
+      const OpCounters before = setup.prof->root().counters;
+      const real_t norm = classical_gram_schmidt(
+          ctx, std::span<const RealVec* const>(ptrs.data(), k + 1), w, h);
+      const OpCounters after = setup.prof->root().counters;
+      const std::string where = backend->name() + " k=" + std::to_string(k);
+      EXPECT_EQ(norm, expect_norm) << where;
+      for (usize j = 0; j <= k; ++j) ASSERT_EQ(h[j], expect_h[j]) << where << " j=" << j;
+      for (usize i = 0; i < nd; ++i) ASSERT_EQ(w[i], expect_w[i]) << where << " i=" << i;
+      // Same charges as the unfused form: the batched dot reduction plus
+      // gdot(w, w).
+      EXPECT_EQ(after.reductions - before.reductions, 2.0) << where;
+      EXPECT_EQ(after.flops - before.flops, 3.0 * static_cast<double>(nd)) << where;
+      EXPECT_EQ(after.bytes - before.bytes,
+                3.0 * static_cast<double>(nd * sizeof(real_t))) << where;
     }
   }
 }
